@@ -73,31 +73,39 @@ def _measure_footers(detected: IntervalSet, h: MonotoneFn, quad_tol: float) -> l
     ]
 
 
-def _sweep_rows(spec: SeriesSpec, xs: np.ndarray, cfg: RunConfig):
+def _envelope_rows(spec: SeriesSpec, cfg: RunConfig, args: list[float], xs: list[float]):
+    """Rows of the ``sweep`` table, one per abscissa, and the (flag, arg)
+    pairs the detected set is built from.
+
+    Row k is evaluated at x = xs[k] and starts with args[k]: x itself, or
+    the radius r with x = ln r.  Every abscissa shares one batched
+    max_modulus and one batched min_modulus call.
+    """
     tol = cfg.tolerances
     opts = PhaseSearchOpts(
         grid_points=tol.grid_points, phase_tol=tol.phase_tol, rel_tol=tol.rel_tol, delta=tol.delta
     )
+    maxima = max_modulus(spec, xs, opts)
+    minima = min_modulus(spec, xs, opts)
     rows = []
     flagged = []
-    for x in xs:
-        x = float(x)
+    for arg, x, mx, mn in zip(args, xs, maxima, minima):
         try:
             top = log_maximal_term(spec, x)
-            mx = max_modulus(spec, x, opts)
-            mn = min_modulus(spec, x, opts)
+            for res in (mx, mn):
+                if isinstance(res, GapSeriesError):
+                    raise res
             total = sum_modulus(spec, x, tol.rel_tol, tol.delta)
-            ratio_mu = mx.value - 1.0
-            # a minimum below the evaluation's own error bar is numerically zero
-            ratio_m = math.inf if mn.value <= tol.rel_tol else mx.value / mn.value - 1.0
-            flag = ratio_mu > cfg.beta or ratio_m > cfg.beta
-            rows.append(
-                [x, top.log_value, top.index, mx.value, mn.value, total, ratio_mu, ratio_m, int(flag), ""]
-            )
-            flagged.append((flag, x))
         except GapSeriesError as exc:
-            rows.append([x, math.nan, -1, math.nan, math.nan, math.nan, math.nan, math.nan, 0, type(exc).__name__])
-            flagged.append((False, x))
+            rows.append([arg, math.nan, -1, math.nan, math.nan, math.nan, math.nan, math.nan, 0, type(exc).__name__])
+            flagged.append((False, arg))
+            continue
+        ratio_mu = mx.value - 1.0
+        # a minimum below the evaluation's own error bar is numerically zero
+        ratio_m = math.inf if mn.value <= tol.rel_tol else mx.value / mn.value - 1.0
+        flag = ratio_mu > cfg.beta or ratio_m > cfg.beta
+        rows.append([arg, top.log_value, top.index, mx.value, mn.value, total, ratio_mu, ratio_m, int(flag), ""])
+        flagged.append((flag, arg))
     return rows, flagged
 
 
@@ -112,17 +120,11 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("sweep command needs a 'sweep' section")
     spec = series_from_config(cfg.series, cfg.seed)
     x_min, x_max, step = cfg.sweep
-    xs = np.arange(x_min, x_max + step * 0.5, step)
-    rows, flagged = _sweep_rows(spec, xs, cfg)
+    xs = np.arange(x_min, x_max + step * 0.5, step).tolist()
+    rows, flagged = _envelope_rows(spec, cfg, xs, xs)
     detected = _detected_set(flagged, step)
     _write_csv(out, SWEEP_HEADER, rows, _measure_footers(detected, cfg.h, cfg.tolerances.quad_tol))
     return EXIT_OK
-
-
-def _phi_inverse(phi: MonotoneFn):
-    if phi.inverse is not None:
-        return phi.inverse
-    return lambda t: phi.inv(t)
 
 
 def cmd_criteria(cfg: RunConfig, out: Path) -> int:
@@ -130,7 +132,8 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> int:
     n_terms = int(cfg.criteria.get("n_terms", len(spec_exponents) - 1))
     alpha = float(cfg.criteria.get("alpha", 1.0))
     h = cfg.h
-    inv = _phi_inverse(cfg.phi)
+    # the explicit inverse when phi has one: one call less per criterion term
+    inv = cfg.phi.inverse or cfg.phi.inv
 
     def checkpoints(report):
         cps = [c for c in (2**j - 1 for j in range(1, 64)) if c < report.terms.size]
@@ -254,32 +257,15 @@ def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
     if not (0 < r_min < r_max) or r_points < 2:
         raise ConfigError("need 0 < r_min < r_max and r_points >= 2")
 
-    rs = np.linspace(r_min, r_max, r_points)
+    rs = np.linspace(r_min, r_max, r_points).tolist()
+    xs = [math.log(r) for r in rs]
     tol = cfg.tolerances
-    opts = PhaseSearchOpts(
-        grid_points=tol.grid_points, phase_tol=tol.phase_tol, rel_tol=tol.rel_tol, delta=tol.delta
-    )
-    rows = []
-    flagged_pairs = []
-    for r in rs:
-        r = float(r)
-        x = math.log(r)
-        try:
-            top = log_maximal_term(spec, x)
-            mx = max_modulus(spec, x, opts)
-            mn = min_modulus(spec, x, opts)
-            total = sum_modulus(spec, x, tol.rel_tol, tol.delta)
-            ratio_mu = mx.value - 1.0
-            ratio_m = math.inf if mn.value <= tol.rel_tol else mx.value / mn.value - 1.0
-            flag = ratio_mu > cfg.beta or ratio_m > cfg.beta
-            clac_ok = int(top.log_value >= x * cfg.phi.value(x)) if x > 0 else ""
-            rows.append([r, top.log_value, top.index, mx.value, mn.value, total, ratio_mu, ratio_m, int(flag), clac_ok, ""])
-            flagged_pairs.append((flag, r))
-        except GapSeriesError as exc:
-            rows.append([r, math.nan, -1, math.nan, math.nan, math.nan, math.nan, math.nan, 0, "", type(exc).__name__])
-            flagged_pairs.append((False, r))
+    rows, flagged_pairs = _envelope_rows(spec, cfg, rs, xs)
+    for row, x in zip(rows, xs):
+        # growth check against phi, before the error column; empty on error rows
+        row.insert(-1, int(row[1] >= x * cfg.phi.value(x)) if x > 0 and not row[-1] else "")
 
-    r_step = float(rs[1] - rs[0])
+    r_step = rs[1] - rs[0]
     detected = _detected_set(flagged_pairs, r_step)
     footers = _measure_footers(detected, cfg.h, tol.quad_tol)
     if detected:
@@ -295,7 +281,7 @@ def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
             footers.append(["#measure", "h_image", math.nan])
     else:
         footers.append(["#measure", "h_image", 0.0])
-    inv = _phi_inverse(cfg.phi)
+    inv = cfg.phi.inverse or cfg.phi.inv
     n_terms = len(spec.exponents) - 1
     for b in cfg.b_grid:
         rep = crit.criterion_exp_inverse(spec.exponents, cfg.h, inv, b, n_terms)

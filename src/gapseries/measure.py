@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import BracketError, DomainError, QuadratureError
 
@@ -56,6 +55,11 @@ def _np_exp(v: float) -> float:
         return float(np.exp(v))
 
 
+def _np_pow(base: float, exponent: float) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.power(base, exponent))
+
+
 def identity() -> MonotoneFn:
     return MonotoneFn(lambda x: x, lambda x: 1.0, "L_plus", inverse=lambda t: t, name="identity")
 
@@ -65,9 +69,23 @@ def power(exponent: float, scale: float = 1.0) -> MonotoneFn:
     if exponent <= 0 or scale <= 0:
         raise ValueError("exponent and scale must be positive")
     tag = "L_plus" if exponent >= 1.0 else "L_minus"
+
+    # float ** raises OverflowError where np.power returns inf, as _np_exp does
+    def value(x):
+        try:
+            return scale * x**exponent
+        except OverflowError:
+            return scale * _np_pow(x, exponent)
+
+    def derivative(x):
+        try:
+            return scale * exponent * x ** (exponent - 1.0)
+        except OverflowError:
+            return scale * exponent * _np_pow(x, exponent - 1.0)
+
     return MonotoneFn(
-        lambda x: scale * x**exponent,
-        lambda x: scale * exponent * x ** (exponent - 1.0),
+        value,
+        derivative,
         tag,
         inverse=lambda t: (t / scale) ** (1.0 / exponent),
         name=f"power({exponent:g})" if scale == 1.0 else f"power({exponent:g},{scale:g})",
@@ -344,6 +362,10 @@ def log_measure(intervals: IntervalSet, strict: bool = False) -> float:
 
 
 def _quad_sum(f: Callable[[float], float], intervals: IntervalSet, quad_tol: float, what: str) -> float:
+    # imported here: scipy.integrate costs more start-up than the rest of the
+    # package, and only the quadrature-based measures need it
+    from scipy.integrate import IntegrationWarning, quad
+
     total = 0.0
     err = 0.0
     with warnings.catch_warnings():

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HorizonExceeded, InvalidTolerance
+from .errors import GapSeriesError, HorizonExceeded, InvalidTolerance
 
 TWO_PI = 2.0 * math.pi
 
@@ -236,10 +236,6 @@ class CentralIndexTable:
         hi = math.inf if position == self.jump_points.size else float(self.jump_points[position])
         return lo, hi
 
-    @property
-    def index_of_segment(self) -> dict[int, int]:
-        return {i: int(k) for i, k in enumerate(self.segment_indices)}
-
 
 def central_index_table(spec: SeriesSpec) -> CentralIndexTable:
     """Segment structure of the central index.
@@ -394,46 +390,111 @@ class ModulusResult:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: complex entries per block of the phase basis, of the phase profile and of
+#: the refinement lanes: the kernel's working memory stays bounded whatever
+#: the prefix length, grid size or number of abscissas.  On the sweep
+#: benchmark, blocks of 2^12 to 2^14 entries run equally fast, and the larger
+#: ones raised the process's peak RSS by about 1.4 MB.
+_BLOCK_ENTRIES = 1 << 12
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+
+def _grid_extrema(
+    weights: np.ndarray, lam: np.ndarray, ph: np.ndarray, ys: np.ndarray, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid index and value of the extremum of |sum_n w_n e^{i(ph_n + y*lam_n)}|
+    over ``ys``, for every row of ``weights`` (one abscissa per row).
+
+    The phase basis e^{i(ph + y*lam)} does not depend on the abscissa, so
+    every row shares it: the profile is one real matrix product per block.
+    Ties go to the first grid point, as with np.argmin on the whole profile.
+    """
+    cols, n = weights.shape
+    best_j = np.zeros(cols, dtype=int)
+    best = np.full(cols, math.inf)  # sign * |F| at best_j
+    rows = min(ys.size, max(1, _BLOCK_ENTRIES // n))
+    width = max(1, _BLOCK_ENTRIES // rows)
+    for r0 in range(0, ys.size, rows):
+        block = ys[r0 : r0 + rows]
+        basis = np.exp(1j * (ph[None, :] + block[:, None] * lam[None, :]))
+        stacked = np.concatenate([basis.real, basis.imag])
+        for c0 in range(0, cols, width):
+            part = stacked @ weights[c0 : c0 + width].T
+            vals = sign * np.hypot(part[: block.size], part[block.size :])
+            j = np.argmin(vals, axis=0)
+            v = vals[j, np.arange(j.size)]
+            cur = slice(c0, c0 + width)
+            better = v < best[cur]
+            best[cur] = np.where(better, v, best[cur])
+            best_j[cur] = np.where(better, r0 + j, best_j[cur])
+    return best_j, best
+
+
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimization on every bracket [lo_k, hi_k] at once.
+
+    ``f(y, lanes)`` evaluates the objective of each lane in ``lanes`` at the
+    matching entry of ``y``.  Every lane takes exactly the steps of a scalar
+    golden-section search on its own bracket and stops when its bracket is
+    narrower than ``tol``.  Returns the best abscissa and value per lane.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    everyone = np.arange(lo.size)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
+    fc, fd = f(c, everyone), f(d, everyone)
+    first = fc <= fd
+    best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
+    lanes = everyone[hi - lo > tol]
+    while lanes.size:
+        left = fc[lanes] < fd[lanes]
+        shrink_hi, shrink_lo = lanes[left], lanes[~left]
+        hi[shrink_hi], d[shrink_hi], fd[shrink_hi] = d[shrink_hi], c[shrink_hi], fc[shrink_hi]
+        c[shrink_hi] = hi[shrink_hi] - _INVPHI * (hi[shrink_hi] - lo[shrink_hi])
+        lo[shrink_lo], c[shrink_lo], fc[shrink_lo] = c[shrink_lo], d[shrink_lo], fd[shrink_lo]
+        d[shrink_lo] = lo[shrink_lo] + _INVPHI * (hi[shrink_lo] - lo[shrink_lo])
+        fy = f(np.where(left, c[lanes], d[lanes]), lanes)
+        fc[shrink_hi], fd[shrink_lo] = fy[left], fy[~left]
+        for pts, vals in ((c, fc), (d, fd)):
+            won = lanes[vals[lanes] < best_f[lanes]]
+            best_x[won], best_f[won] = pts[won], vals[won]
+        lanes = lanes[hi[lanes] - lo[lanes] > tol]
     return best_x, best_f
 
 
-def _abs_profile(w: np.ndarray, lam: np.ndarray, ph: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    out = np.empty(ys.size)
-    chunk = max(1, 2_000_000 // max(1, w.size))
-    for start in range(0, ys.size, chunk):
-        block = ys[start : start + chunk]
-        ang = ph[None, :] + block[:, None] * lam[None, :]
-        out[start : start + block.size] = np.abs((w[None, :] * np.exp(1j * ang)).sum(axis=1))
-    return out
+def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want_max: bool) -> list:
+    """The envelope kernel: sup_y or inf_y of |F(x+iy)| / mu(x,F) at every x.
 
-
-def _phase_extremum(spec: SeriesSpec, x: float, opts: PhaseSearchOpts, want_max: bool) -> ModulusResult:
-    w, top, stop = _certified_prefix(spec, x, opts.rel_tol, opts.delta, DEFAULT_GUARD_MARGIN)
-    lam = spec.exponents.values[: stop + 1]
-    ph = spec.phases[: stop + 1]
+    Each x gets one certified prefix; a GapSeriesError raised there takes
+    the x's slot in the returned list and leaves its neighbours intact.
+    All other abscissas share one phase basis up to the longest prefix:
+    one matrix product per block gives every profile, then every bracketed
+    grid extremum is refined by golden-section steps at once.
+    """
     direction = "lower" if want_max else "upper"
-    if stop == 0:
-        return ModulusResult(float(w[0]), 0.0, direction, False, top.log_value)
+    sign = -1.0 if want_max else 1.0
+    results: list = []
+    live, prefixes, log_mus = [], [], []
+    for x in xs:
+        try:
+            w, top, stop = _certified_prefix(spec, float(x), opts.rel_tol, opts.delta, DEFAULT_GUARD_MARGIN)
+        except GapSeriesError as exc:
+            results.append(exc)
+            continue
+        if stop == 0:
+            results.append(ModulusResult(float(w[0]), 0.0, direction, False, top.log_value))
+        else:
+            results.append(None)
+            live.append(len(results) - 1)
+            prefixes.append(w)
+            log_mus.append(top.log_value)
+    if not live:
+        return results
 
+    n = max(w.size for w in prefixes)
+    weights = np.zeros((len(live), n))
+    for k, w in enumerate(prefixes):
+        weights[k, : w.size] = w
+    lam, ph = spec.exponents.values[:n], spec.phases[:n]
     periodic = spec.exponents.is_integral()
     if periodic:
         span = TWO_PI
@@ -441,37 +502,64 @@ def _phase_extremum(spec: SeriesSpec, x: float, opts: PhaseSearchOpts, want_max:
     else:
         span = opts.y_window if opts.y_window is not None else 10.0 * TWO_PI / spec.exponents.min_gap
         ys = np.linspace(0.0, span, opts.grid_points)
-    vals = _abs_profile(w, lam, ph, ys)
+    j, grid_best = _grid_extrema(weights, lam, ph, ys, sign)
 
-    sign = -1.0 if want_max else 1.0
-    j = int(np.argmin(sign * vals))
     dy = ys[1] - ys[0]
     lo, hi = ys[j] - dy, ys[j] + dy
     if not periodic:
-        lo, hi = max(lo, 0.0), min(hi, span)
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, span)
 
-    def objective(y: float) -> float:
-        return sign * float(_abs_profile(w, lam, ph, np.array([y]))[0])
+    def objective(y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        ang = ph[None, :] + y[:, None] * lam[None, :]
+        return sign * np.abs((weights[lanes] * np.exp(1j * ang)).sum(axis=1))
 
-    y_ref, f_ref = _golden_min(objective, lo, hi, opts.phase_tol)
-    if sign * vals[j] <= f_ref:
-        y_best, v_best = float(ys[j]), float(vals[j])
-    else:
-        y_best, v_best = float(y_ref % span if periodic else y_ref), float(sign * f_ref)
-    return ModulusResult(v_best, y_best, direction, not periodic, top.log_value)
+    y_ref, f_ref = np.empty(len(live)), np.empty(len(live))
+    step = max(1, _BLOCK_ENTRIES // n)
+    for k0 in range(0, len(live), step):
+        part = slice(k0, k0 + step)
+        y_ref[part], f_ref[part] = _golden_min(
+            lambda y, lanes: objective(y, lanes + k0), lo[part], hi[part], opts.phase_tol
+        )
+
+    for k, slot in enumerate(live):
+        if grid_best[k] <= f_ref[k]:
+            y_best, v_best = float(ys[j[k]]), float(sign * grid_best[k])
+        else:
+            y = float(y_ref[k])
+            y_best, v_best = (y % span if periodic else y), float(sign * f_ref[k])
+        results[slot] = ModulusResult(v_best, y_best, direction, not periodic, log_mus[k])
+    return results
 
 
-def max_modulus(spec: SeriesSpec, x: float, opts: PhaseSearchOpts | None = None) -> ModulusResult:
+def _modulus(spec: SeriesSpec, x, opts: PhaseSearchOpts | None, want_max: bool):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    results = _phase_extrema(spec, xs, opts or PhaseSearchOpts(), want_max)
+    if np.ndim(x):
+        return results
+    if isinstance(results[0], GapSeriesError):
+        raise results[0]
+    return results[0]
+
+
+def max_modulus(
+    spec: SeriesSpec, x: float | np.ndarray | list[float], opts: PhaseSearchOpts | None = None
+) -> ModulusResult | list[ModulusResult | GapSeriesError]:
     """sup_y |F(x+iy)| / mu(x,F), certified from below.
 
     For integral exponents the search covers one exact period [0, 2*pi);
     otherwise a finite window is scanned and the result is flagged
     window-approximate (the true supremum over all of R is not finitely
     computable for incommensurable exponents).
+
+    ``x`` may also be a 1-d array of abscissas.  The result is then a list
+    holding, per abscissa, its ModulusResult or the GapSeriesError raised
+    there, and all abscissas share one phase basis (see _phase_extrema).
     """
-    return _phase_extremum(spec, x, opts or PhaseSearchOpts(), want_max=True)
+    return _modulus(spec, x, opts, want_max=True)
 
 
-def min_modulus(spec: SeriesSpec, x: float, opts: PhaseSearchOpts | None = None) -> ModulusResult:
+def min_modulus(
+    spec: SeriesSpec, x: float | np.ndarray | list[float], opts: PhaseSearchOpts | None = None
+) -> ModulusResult | list[ModulusResult | GapSeriesError]:
     """inf_y |F(x+iy)| / mu(x,F), certified from above; see max_modulus."""
-    return _phase_extremum(spec, x, opts or PhaseSearchOpts(), want_max=False)
+    return _modulus(spec, x, opts, want_max=False)

@@ -197,6 +197,26 @@ class TestGapPower:
         h_image = float(by_name["h_image"])
         assert h_log == pytest.approx(h_image, abs=1e-8)
 
+    def test_power3_density_overflow_reaches_footers(self, tmp_path):
+        # h = power(3): h'(exp(n_k + b/gap_k)) = 3 exp(2 (n_k + b/gap_k)) passes
+        # the float range for n_k = 19^2 .. 26^2, where float ** used to raise
+        payload = {
+            "series": {
+                "generator": "power", "kind": "gap-power", "scale": 1.0, "power": 2.0, "count": 30,
+                "coeffs": {"mode": "random", "g": {"name": "affine", "slope": 0.05, "intercept": 1.0}},
+            },
+            "h": {"name": "power", "exponent": 3.0},
+            "b_grid": [0.5, 2.0],
+            "gap_power": {"r_min": 1.5, "r_max": 3.0, "r_points": 4},
+        }
+        out = tmp_path / "o.csv"
+        assert run("gap-power", write_config(tmp_path, "c.json", payload), out) == 0
+        _, rows, footers = read_rows(out)
+        assert len(rows) == 4
+        conds = [f for f in footers if f[0] == "#cond88"]
+        assert [f[1] for f in conds] == ["0.5", "2"]
+        assert all(f[2] == "inf" and f[3] in ("converging", "diverging", "inconclusive") for f in conds)
+
     def test_cond88_footers_present(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run("gap-power", CONFIG_DIR / "two_term_gap_power.json", out) == 0

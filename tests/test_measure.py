@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expi
 
+import gapseries
 from gapseries import (
     BracketError,
     DomainError,
@@ -208,6 +213,13 @@ class TestMonotoneFnLibrary:
         assert log_shifted().class_tag == "L_minus"
         assert affine(2.0, 1.0).class_tag == "L_plus"
 
+    def test_power_overflows_to_inf(self):
+        # float ** raises OverflowError past 1.8e308; the density must not
+        h = power(3.0)
+        assert h.value(1e200) == math.inf
+        assert h.derivative(1e200) == math.inf
+        assert h.value(2.0) == 8.0 and h.derivative(2.0) == 12.0
+
     def test_class_tag_spot_check(self):
         assert check_class_tag(power(2.0), 0.1, 10.0)
         assert check_class_tag(log_shifted(), 0.1, 10.0)
@@ -231,3 +243,14 @@ class TestMonotoneFnLibrary:
             eps = 1e-6
             fd = (h.value(x + eps) - h.value(x - eps)) / (2 * eps)
             assert h.derivative(x) == pytest.approx(fd, rel=1e-8)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature imports scipy.integrate on first use; start-up does not pay for it
+    src = str(Path(gapseries.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, gapseries, gapseries.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    # integral of h'(r)/r = 2 over [1, 2]: the deferred import still serves quadrature
+    assert h_log_measure(power(2.0), IntervalSet(((1.0, 2.0),))) == pytest.approx(2.0, rel=1e-12)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from gapseries import (
     ExponentSequence,
+    GapSeriesError,
     HorizonExceeded,
+    ModulusResult,
     InvalidTolerance,
     PhaseSearchOpts,
     SeriesSpec,
@@ -266,6 +270,172 @@ class TestModuli:
         spec = SeriesSpec(ExponentSequence(lam), np.array([0.0, -1.0, -3.0]), complete=True)
         res = max_modulus(spec, 0.5, PhaseSearchOpts(grid_points=1024))
         assert res.window_approximate
+
+
+EPS = np.finfo(float).eps
+#: a coarse grid keeps the property tests fast; the properties hold on any grid
+KERNEL_OPTS = PhaseSearchOpts(grid_points=256)
+#: derandomized: the same examples on every run, so a rounding-level bound
+#: cannot turn into a flaky failure
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _floats(lo, hi, size):
+    return st.lists(st.floats(lo, hi, exclude_max=True), min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def gap_polynomials(draw):
+    """Complete gap polynomial (up to 7 terms, degree < 200) and abscissas near |z| = 1."""
+    k = draw(st.integers(2, 7))
+    lam = [0] + sorted(draw(st.lists(st.integers(1, 199), min_size=k - 1, max_size=k - 1, unique=True)))
+    spec = SeriesSpec(
+        ExponentSequence(np.array(lam, dtype=float), "gap-power"),
+        draw(_floats(-2.0, 0.0, k)),
+        draw(_floats(0.0, TWO_PI, k)),
+        complete=True,
+    )
+    return spec, np.array(sorted(draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=6))))
+
+
+@st.composite
+def truncated_geometric(draw):
+    """Truncated base-2 geometric prefix with random phases, the shape the
+    sweep benchmark uses; large abscissas trip the horizon guard."""
+    n = draw(st.integers(12, 31))
+    lam = geometric_exponents(2.0, n).values
+    log_moduli = -lam * (draw(st.floats(0.08, 0.2)) * lam + 1.0) + draw(_floats(0.0, 1.0, n))
+    spec = SeriesSpec(ExponentSequence(lam), log_moduli, draw(_floats(0.0, TWO_PI, n)))
+    return spec, np.array(sorted(draw(st.lists(st.floats(0.5, 300.0), min_size=1, max_size=6))))
+
+
+kernel_cases = st.one_of(gap_polynomials(), truncated_geometric())
+
+
+def _grid_profile(spec, x, log_mu):
+    """|F(x+iy)| / mu on the search grid, summed directly over every stored
+    term; on these specs the terms past the certified prefix lie far below
+    an ulp of the sum."""
+    lam = spec.exponents.values
+    if spec.exponents.is_integral():
+        ys = np.linspace(0.0, TWO_PI, KERNEL_OPTS.grid_points, endpoint=False)
+    else:
+        ys = np.linspace(0.0, 10.0 * TWO_PI / spec.exponents.min_gap, KERNEL_OPTS.grid_points)
+    w = np.exp(spec.log_moduli + x * lam - log_mu)
+    return np.array([abs(np.sum(w * np.exp(1j * (spec.phases + y * lam)))) for y in ys])
+
+
+class TestEnvelopeKernel:
+    """max_modulus/min_modulus over an x-grid: one shared phase basis."""
+
+    @KERNEL_SETTINGS
+    @given(kernel_cases)
+    def test_grid_call_matches_point_calls(self, case):
+        spec, xs = case
+        for fn in (max_modulus, min_modulus):
+            batch = fn(spec, xs, KERNEL_OPTS)
+            assert len(batch) == xs.size
+            for x, got in zip(xs, batch):
+                try:
+                    want = fn(spec, float(x), KERNEL_OPTS)
+                except GapSeriesError as exc:
+                    assert type(got) is type(exc)
+                    continue
+                total = sum_modulus(spec, float(x), KERNEL_OPTS.rel_tol)
+                # the grid profile comes from a matrix product whose summation
+                # order depends on the number of abscissas
+                assert abs(got.value - want.value) <= (len(spec) + 4) * EPS * total
+                assert (got.direction, got.window_approximate, got.log_mu) == (
+                    want.direction, want.window_approximate, want.log_mu)
+
+    @KERNEL_SETTINGS
+    @given(kernel_cases)
+    def test_value_reproduced_by_evaluate(self, case):
+        spec, xs = case
+        for fn in (max_modulus, min_modulus):
+            for x, res in zip(xs, fn(spec, xs, KERNEL_OPTS)):
+                if isinstance(res, GapSeriesError):
+                    continue
+                ulp = math.ulp(sum_modulus(spec, float(x), KERNEL_OPTS.rel_tol))
+                # a refined abscissa below 0 is reported modulo the period;
+                # evaluating at the wrapped value rounds the phases differently
+                shifts = (0.0, TWO_PI) if spec.exponents.is_integral() else (0.0,)
+                misses = []
+                for shift in shifts:
+                    e = evaluate(spec, float(x), res.y_at - shift, KERNEL_OPTS.rel_tol)
+                    misses.append(abs(abs(complex(e.ratio_re, e.ratio_im)) - res.value))
+                assert min(misses) <= 4 * ulp
+
+    @KERNEL_SETTINGS
+    @given(kernel_cases)
+    def test_extrema_bracket_direct_grid_and_sum(self, case):
+        spec, xs = case
+        maxima = max_modulus(spec, xs, KERNEL_OPTS)
+        minima = min_modulus(spec, xs, KERNEL_OPTS)
+        for x, mx, mn in zip(xs, maxima, minima):
+            if isinstance(mx, GapSeriesError):
+                assert type(mn) is type(mx)
+                continue
+            total = sum_modulus(spec, float(x), KERNEL_OPTS.rel_tol)
+            profile = _grid_profile(spec, float(x), mx.log_mu)
+            slack = 4 * math.ulp(total)
+            assert mn.value <= profile.min() + slack
+            assert profile.max() <= mx.value + slack
+            assert mn.value <= mx.value <= total * (1.0 + (len(spec) + 4) * EPS)
+
+    @KERNEL_SETTINGS
+    @given(kernel_cases)
+    def test_refinement_matches_an_independent_search(self, case):
+        spec, xs = case
+        lam = spec.exponents.values
+        step = (TWO_PI if spec.exponents.is_integral() else 10.0 * TWO_PI / spec.exponents.min_gap) / 256
+        for fn, sign in ((max_modulus, 1.0), (min_modulus, -1.0)):
+            for x, res in zip(xs, fn(spec, xs, KERNEL_OPTS)):
+                if isinstance(res, GapSeriesError):
+                    continue
+                w = np.exp(spec.log_moduli + float(x) * lam - res.log_mu)
+
+                def modulus(y):
+                    return abs(np.sum(w * np.exp(1j * (spec.phases + np.asarray(y)[..., None] * lam)), axis=-1))
+
+                # dense scan around the reported abscissa, then Brent's method
+                # on the best sample's neighbourhood to 1e-14 in y
+                ys = res.y_at + np.linspace(-step / 8, step / 8, 33)
+                best = ys[np.argmax(sign * modulus(ys))]
+                ref = minimize_scalar(
+                    lambda y: -sign * modulus(y), bounds=(best - step / 256, best + step / 256),
+                    method="bounded", options={"xatol": 1e-14},
+                )
+                # phase_tol away from the extremum, |F| is off by at most half its
+                # curvature (<= sum w lam^2) times phase_tol^2 at a maximum; a
+                # minimum may sit at a zero of F, where only the Lipschitz
+                # bound sum w lam holds
+                tol = KERNEL_OPTS.phase_tol
+                off = 0.5 * np.sum(w * lam**2) * tol**2 if sign > 0 else np.sum(w * lam) * tol
+                found = max(sign * abs(ref.fun), sign * modulus(best))
+                assert found - sign * res.value <= off + 4 * math.ulp(np.sum(w))
+
+    @KERNEL_SETTINGS
+    @given(truncated_geometric(), st.integers(0, 6))
+    def test_horizon_exceeded_stays_in_its_slot(self, case, position):
+        spec, xs = case
+        # at x = 1e20 the last stored term is maximal: the guard trips
+        bad = np.insert(xs, min(position, xs.size), 1e20)
+        with pytest.raises(HorizonExceeded):
+            max_modulus(spec, 1e20, KERNEL_OPTS)
+        for fn in (max_modulus, min_modulus):
+            with_bad = fn(spec, bad, KERNEL_OPTS)
+            assert isinstance(with_bad.pop(min(position, xs.size)), HorizonExceeded)
+            plain = fn(spec, xs, KERNEL_OPTS)
+            # exceptions compare by identity: compare their types
+            assert [r if isinstance(r, ModulusResult) else type(r) for r in with_bad] == [
+                r if isinstance(r, ModulusResult) else type(r) for r in plain]
+
+    def test_scalar_call_returns_one_result(self):
+        spec = SeriesSpec(ExponentSequence([0, 1], "gap-power"), np.zeros(2), complete=True)
+        res = max_modulus(spec, np.float64(0.0))
+        assert isinstance(res, ModulusResult)
+        assert max_modulus(spec, [0.0])[0] == res
 
 
 def test_term_value_wraps_phase():
