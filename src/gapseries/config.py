@@ -143,6 +143,9 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
     tolerances = Tolerances(**tol_cast)
+    if tolerances.grid_points < 2:
+        # the phase search needs a grid step ys[1] - ys[0]
+        raise ConfigError(f"tolerances.grid_points must be at least 2, got {tolerances.grid_points}")
 
     for section, keys in (
         ("criteria", _CRITERIA_KEYS),

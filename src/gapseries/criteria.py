@@ -58,10 +58,15 @@ def _block_ratios(partial: np.ndarray) -> np.ndarray:
     cps = _dyadic_checkpoints(partial.size)
     if len(cps) < 3:
         return np.empty(0)
-    increments = np.diff(partial[cps])
+    sums = partial[cps]
+    with np.errstate(invalid="ignore"):
+        increments = np.diff(sums)
     ratios = []
-    for prev, nxt in zip(increments[:-1], increments[1:]):
-        if nxt == 0.0:
+    for prev, nxt, total in zip(increments[:-1], increments[1:], sums[2:]):
+        if total == math.inf:
+            # the block overflowed: inf - inf is nan, but the sum diverged
+            ratios.append(math.inf)
+        elif nxt == 0.0:
             ratios.append(0.0)
         elif prev == 0.0:
             ratios.append(math.inf)

@@ -30,8 +30,10 @@ class MonotoneFn:
     """An increasing function with an explicit derivative.
 
     ``inverse`` is optional; when absent, ``inv`` falls back to bisection.
-    Class tags are asserted by sampling (see ``check_class_tag``), not
-    proven: handles may be arbitrary user callables.
+    ``radial(a, b)``, the integral of h'(r)/r over [a, b), is optional
+    too; when absent, ``h_log_measure`` falls back to quadrature.  Class
+    tags are asserted by sampling (see ``check_class_tag``), not proven:
+    handles may be arbitrary user callables.
     """
 
     value: Callable[[float], float]
@@ -40,6 +42,7 @@ class MonotoneFn:
     domain_floor: float = 0.0
     inverse: Callable[[float], float] | None = None
     name: str = ""
+    radial: Callable[[float, float], float] | None = None
 
     def __call__(self, x: float) -> float:
         return self.value(x)
@@ -60,8 +63,15 @@ def _np_pow(base: float, exponent: float) -> float:
         return float(np.power(base, exponent))
 
 
+def _log_ratio(a: float, b: float) -> float:
+    # ln(b/a) without the rounding of b/a near 1
+    return math.log1p((b - a) / a)
+
+
 def identity() -> MonotoneFn:
-    return MonotoneFn(lambda x: x, lambda x: 1.0, "L_plus", inverse=lambda t: t, name="identity")
+    return MonotoneFn(
+        lambda x: x, lambda x: 1.0, "L_plus", inverse=lambda t: t, name="identity", radial=_log_ratio
+    )
 
 
 def power(exponent: float, scale: float = 1.0) -> MonotoneFn:
@@ -83,12 +93,38 @@ def power(exponent: float, scale: float = 1.0) -> MonotoneFn:
         except OverflowError:
             return scale * exponent * _np_pow(x, exponent - 1.0)
 
+    # integral of scale * exponent * r**(q - 1) over [a, b), with q = exponent - 1:
+    # scale * exponent / q * (b**q - a**q)
+    q = exponent - 1.0
+    coef = scale * exponent / q if q else scale
+    if q == 1.0:
+        def radial(a, b):
+            return coef * (b - a)
+    elif q == 0.0:
+        def radial(a, b):
+            return coef * _log_ratio(a, b)
+    else:
+        def radial(a, b):
+            # r**q as r**exponent / r: q = exponent - 1 may be rounded, and
+            # ln(r) would amplify that rounding.  Where b**q and a**q lie
+            # within a factor e of each other their difference would cancel,
+            # so it is taken as a**q * expm1(q ln(b/a)).  Overflow gives inf,
+            # as value() does.
+            try:
+                y = q * _log_ratio(a, b)
+                if abs(y) <= 1.0:
+                    return coef * (a**exponent / a) * math.expm1(y)
+                return coef * (b**exponent / b - a**exponent / a)
+            except OverflowError:
+                return math.inf
+
     return MonotoneFn(
         value,
         derivative,
         tag,
         inverse=lambda t: (t / scale) ** (1.0 / exponent),
         name=f"power({exponent:g})" if scale == 1.0 else f"power({exponent:g},{scale:g})",
+        radial=radial,
     )
 
 
@@ -113,6 +149,8 @@ def log_shifted() -> MonotoneFn:
         "L_minus",
         inverse=lambda t: math.expm1(t),
         name="log_shifted",
+        # ln(b/(1+b)) - ln(a/(1+a)) = ln(1 + (b-a)/(a(1+b)))
+        radial=lambda a, b: math.log1p((b - a) / (a * (1.0 + b))),
     )
 
 
@@ -125,6 +163,7 @@ def affine(slope: float, intercept: float = 0.0) -> MonotoneFn:
         "L_plus",
         inverse=lambda t: (t - intercept) / slope,
         name=f"affine({slope:g},{intercept:g})",
+        radial=lambda a, b: slope * _log_ratio(a, b),
     )
 
 
@@ -381,12 +420,18 @@ def _quad_sum(f: Callable[[float], float], intervals: IntervalSet, quad_tol: flo
 
 
 def h_log_measure(h: MonotoneFn, intervals_r: IntervalSet, quad_tol: float = 1e-8) -> float:
-    """Radial measure integral of h'(r)/r over the set, by adaptive
-    quadrature.  Under the substitution x = ln r it equals the measure of
-    the log image with density h'(e^x)."""
+    """Radial measure integral of h'(r)/r over the set.  Under the
+    substitution x = ln r it equals the measure of the log image with
+    density h'(e^x).
+
+    Uses the handle's closed-form ``radial`` when it has one (every
+    builtin but ``exp``); otherwise adaptive quadrature to ``quad_tol``.
+    """
     for a, _ in intervals_r:
         if a <= 0:
             raise DomainError(f"radial measure needs positive endpoints, got {a}")
+    if h.radial is not None:
+        return math.fsum(h.radial(a, b) for a, b in intervals_r)
     return _quad_sum(lambda r: h.derivative(r) / r, intervals_r, quad_tol, "radial measure")
 
 

@@ -71,6 +71,17 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", bad)
         assert run("sweep", cfg, tmp_path / "o.csv") == 1
 
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_phase_grid_below_two_points(self, tmp_path, capsys, grid_points):
+        # one grid point has no step and zero points no grid; both used to escape main()
+        payload = json.loads((CONFIG_DIR / "two_term_gap_power.json").read_text())
+        payload["tolerances"] = {"grid_points": grid_points}
+        out = tmp_path / "o.csv"
+        assert run("gap-power", write_config(tmp_path, "c.json", payload), out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "grid_points" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_certification_failure_is_exit_2(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class TestExpInverse:
         rep = criterion_exp_inverse(cubes, identity(), lambda t: t, 1.0, 199)
         assert np.array_equal(rep.terms, criterion_gap(cubes, 199).terms)
         assert rep.verdict == "converging"
+
+    def test_overflowed_partial_sums_diverge(self):
+        # 2 exp(n^2 + 1/(2n+1)) / (2n+1) passes the float range at n = 27; the
+        # blocks after it hold inf - inf, which must read as divergence
+        squares = ExponentSequence(np.arange(12000.0) ** 2, "gap-power")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = criterion_exp_inverse(squares, power(2.0), lambda t: t, 1.0)
+        assert rep.total == math.inf
+        overflowed = rep.partial_sums[[2**j - 1 for j in range(2, 2 + rep.block_ratios.size)]] == math.inf
+        assert overflowed.any() and np.all(rep.block_ratios[overflowed] == math.inf)
+        assert np.all(np.isfinite(rep.block_ratios[~overflowed]))
+        assert rep.verdict == "diverging"
 
 
 class TestVerdictStability:

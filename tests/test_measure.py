@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expi
 
 import gapseries
@@ -178,6 +180,66 @@ class TestHLogMeasure:
         assert err.value.achieved > 0
 
 
+# each builtin with a closed-form radial measure: (factory, its parameter
+# strategy, h'(r) in mpmath)
+RADIAL_BUILTINS = {
+    "identity": (identity, st.fixed_dictionaries({}), lambda r: mpmath.mpf(1)),
+    "affine": (
+        affine,
+        st.fixed_dictionaries({"slope": st.floats(0.01, 100.0), "intercept": st.floats(-10.0, 10.0)}),
+        lambda r, slope, intercept: mpmath.mpf(slope),
+    ),
+    "log_shifted": (log_shifted, st.fixed_dictionaries({}), lambda r: 1 / (1 + r)),
+    "power": (
+        power,
+        st.fixed_dictionaries({
+            "exponent": st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.05, 6.0)),
+            "scale": st.floats(0.01, 100.0),
+        }),
+        lambda r, exponent, scale: mpmath.mpf(scale) * exponent * r ** (mpmath.mpf(exponent) - 1),
+    ),
+}
+
+
+@st.composite
+def radial_intervals(draw):
+    """[a, b) with a in [e^-3, e^12]: narrow ((b-a)/a down to 2^-40) or wide
+    (b/a up to e^5)."""
+    a = math.exp(draw(st.floats(-3.0, 12.0)))
+    if draw(st.booleans()):
+        b = a * (1.0 + 2.0 ** draw(st.floats(-40.0, -1.0)))
+    else:
+        b = a * math.exp(draw(st.floats(0.5, 5.0)))
+    return a, b
+
+
+class TestRadialClosedForms:
+    @pytest.mark.parametrize("name", sorted(RADIAL_BUILTINS))
+    def test_against_mpmath_integral(self, name):
+        factory, params, mp_density = RADIAL_BUILTINS[name]
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(params, radial_intervals())
+        def check(kwargs, interval):
+            a, b = interval
+            h = factory(**kwargs)
+            with mpmath.workdps(50):
+                want = mpmath.quad(lambda r: mp_density(r, **kwargs) / r, [mpmath.mpf(a), mpmath.mpf(b)])
+                got = h.radial(a, b)
+                assert abs(got - want) <= 1e-15 * want
+            assert h_log_measure(h, IntervalSet.from_pairs([(a, b)])) == got
+
+        check()
+
+    def test_exp_has_no_closed_form(self):
+        assert exponential().radial is None
+
+    def test_sums_intervals(self):
+        s = IntervalSet.from_pairs([(1.0, 2.0), (3.0, 5.0)])
+        assert h_log_measure(power(2.0), s) == 6.0
+        assert h_log_measure(identity(), s) == pytest.approx(math.log(2.0) + math.log(5.0 / 3.0), rel=1e-15)
+
+
 class TestNumericInverse:
     def test_identity(self):
         assert numeric_inverse(identity(), 5.0, 1e-10) == pytest.approx(5.0, abs=1e-9)
@@ -252,5 +314,22 @@ def test_import_leaves_scipy_integrate_unloaded():
     code = "import sys, gapseries, gapseries.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
-    # integral of h'(r)/r = 2 over [1, 2]: the deferred import still serves quadrature
-    assert h_log_measure(power(2.0), IntervalSet(((1.0, 2.0),))) == pytest.approx(2.0, rel=1e-12)
+    # exp has no closed-form radial measure: the deferred import still serves quadrature
+    want = expi(2.0) - expi(1.0)
+    assert h_log_measure(exponential(), IntervalSet(((1.0, 2.0),))) == pytest.approx(want, rel=1e-12)
+
+
+def test_sweep_leaves_scipy_integrate_unloaded(tmp_path):
+    # the sweep's h_log footer uses the closed form of power(2)
+    src = str(Path(gapseries.__file__).resolve().parents[1])
+    config = Path(__file__).resolve().parent.parent / "configs" / "geometric_damped_sweep.json"
+    out = tmp_path / "sweep.csv"
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys; from gapseries import cli; "
+        f"code = cli.main(['sweep', '--config', {str(config)!r}, '--out', {str(out)!r}, '--quiet']); "
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["0", "False"]
+    assert "#measure,h_log," in out.read_text()
