@@ -34,23 +34,49 @@ EXIT_CERTIFICATION = 2
 EXIT_IO = 3
 
 
+# rows per chunk of text: a long table never sits in memory as one string
+_CSV_CHUNK_ROWS = 4096
+
+
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], footers: list[list] | None = None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for foot in footers or []:
-        lines.append(",".join(_fmt(v) for v in foot))
-    path.write_text("\n".join(lines) + "\n")
+def _fmt_column(column) -> list[str]:
+    """Cells of one column as text, byte-identical to ``_fmt`` per cell.
+
+    A float ndarray formats each distinct bit pattern once (so -0.0 stays
+    "-0"), an integer ndarray each distinct value once; any other sequence,
+    such as a column mixing strings and numbers, goes through ``_fmt``.
+    """
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        uniq, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+        text = [f"{v:.17g}" for v in uniq.view(np.float64).tolist()]
+    elif kind in ("i", "u"):
+        uniq, inverse = np.unique(column, return_inverse=True)
+        text = [str(v) for v in uniq.tolist()]
+    else:
+        return [_fmt(v) for v in column]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def _write_csv(path: Path, header: list[str], columns, footers: list[list] | None = None) -> None:
+    """Write a table given column by column, then footer rows.
+
+    ``columns`` holds one equal-length sequence per header entry; tables
+    built row by row pass ``zip(*rows)``.  The text is formatted and
+    written _CSV_CHUNK_ROWS rows at a time.
+    """
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            cells = [_fmt_column(col[start : start + _CSV_CHUNK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+        for foot in footers or []:
+            fh.write(",".join(_fmt(v) for v in foot) + "\n")
 
 
 def _detected_set(flagged: list[tuple[bool, float]], step: float) -> IntervalSet:
@@ -123,7 +149,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     xs = np.arange(x_min, x_max + step * 0.5, step).tolist()
     rows, flagged = _envelope_rows(spec, cfg, xs, xs)
     detected = _detected_set(flagged, step)
-    _write_csv(out, SWEEP_HEADER, rows, _measure_footers(detected, cfg.h, cfg.tolerances.quad_tol))
+    _write_csv(out, SWEEP_HEADER, zip(*rows), _measure_footers(detected, cfg.h, cfg.tolerances.quad_tol))
     return EXIT_OK
 
 
@@ -162,7 +188,7 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> int:
             emit(crit.criterion_exp_inverse(spec_exponents, h, inv, b, n_terms))
     emit(crit.criterion_plain_inverse(spec_exponents, h, inv, n_terms))
 
-    _write_csv(out, ["condition", "b", "n_terms", "partial_sum", "block_ratio", "verdict"], rows)
+    _write_csv(out, ["condition", "b", "n_terms", "partial_sum", "block_ratio", "verdict"], zip(*rows))
     return EXIT_OK
 
 
@@ -193,7 +219,7 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
         [n, float(ws.switch_points[n]), float(ws.switch_points[n] + 1.0 / gaps[n - 1]), 1.0 / gaps[n - 1]]
         for n in range(1, depth + 1)
     ]
-    _write_csv(out.with_suffix(".exceptional.csv"), ["n", "a", "b", "length"], exc_rows)
+    _write_csv(out.with_suffix(".exceptional.csv"), ["n", "a", "b", "length"], zip(*exc_rows))
 
     threshold = 1.0 + ws.excess
     verify_rows = []
@@ -207,7 +233,7 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
     _write_csv(
         out.with_suffix(".verify.csv"),
         ["n", "point", "x", "ratio", "threshold", "pass"],
-        verify_rows,
+        zip(*verify_rows),
     )
 
     hm_rows = [
@@ -217,7 +243,7 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
     _write_csv(
         out.with_suffix(".hmeas.csv"),
         ["depth", "lower_partial", "measure_partial"],
-        hm_rows,
+        zip(*hm_rows),
         [["#measure", "h_total", h_measure(cfg.h, exceptional)]],
     )
     return EXIT_OK
@@ -226,20 +252,36 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
 def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
     spec = series_from_config(cfg.series, cfg.seed)
     section = cfg.lemma
-    q_values = [float(q) for q in section.get("q_values", (0.5, 1.0, 2.0))]
-    n_terms = int(section.get("n_terms", len(spec.exponents) - 1))
-    max_index = int(section.get("max_index", n_terms))
-    tail_tol = float(section.get("tail_tol", cfg.tolerances.tail_tol))
+    n_stored = len(spec.exponents)
+    try:
+        q_values = [float(q) for q in section.get("q_values", (0.5, 1.0, 2.0))]
+        n_terms = int(section.get("n_terms", n_stored - 1))
+        max_index = int(section.get("max_index", n_terms))
+        tail_tol = float(section.get("tail_tol", cfg.tolerances.tail_tol))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"lemma: {exc}") from exc
+    if not all(0.0 < q < math.inf for q in q_values):
+        raise ConfigError(f"lemma.q_values must be positive and finite, got {q_values}")
+    if n_stored < 3:
+        raise ConfigError(f"lemma1 needs at least three exponents, the series has {n_stored}")
+    if not 1 <= n_terms <= n_stored - 1:
+        raise ConfigError(f"lemma.n_terms must lie in [1, {n_stored - 1}] for {n_stored} exponents, got {n_terms}")
+    if not 0 <= max_index <= n_terms:
+        raise ConfigError(f"lemma.max_index must lie in [0, n_terms={n_terms}], got {max_index}")
 
-    rows = []
+    # the (n, k) grid, n outer and k inner, shared by every q
+    n_idx = np.repeat(np.arange(0, max_index + 1), max_index)
+    k_idx = np.tile(np.arange(1, max_index + 1), max_index + 1)
+    distance = np.abs(n_idx - k_idx) + 1
+    blocks = []
     for q in q_values:
         gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, tail_tol)
-        for n in range(0, max_index + 1):
-            for k in range(1, max_index + 1):
-                margin = cons.domination_margin(gadget, n, k)
-                tolerance = gadget.inner_tail_error * (abs(n - k) + 1)
-                rows.append([q, n, k, margin, tolerance, int(margin >= -tolerance)])
-    _write_csv(out, ["q", "n", "k", "margin", "tolerance", "pass"], rows)
+        margin = cons.domination_margin(gadget, n_idx, k_idx)
+        tolerance = gadget.inner_tail_error * distance
+        passed = (margin >= -tolerance).astype(np.int64)
+        blocks.append((np.full(n_idx.size, q), n_idx, k_idx, margin, tolerance, passed))
+    columns = [np.concatenate(col) for col in zip(*blocks)] if blocks else []
+    _write_csv(out, ["q", "n", "k", "margin", "tolerance", "pass"], columns)
     return EXIT_OK
 
 
@@ -289,7 +331,7 @@ def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
 
     header = ["r", "log_mu", "nu", "M_scaled", "m_scaled", "sum_scaled",
               "ratio_M_mu", "ratio_M_m", "flag", "clac1_ok", "error"]
-    _write_csv(out, header, rows, footers)
+    _write_csv(out, header, zip(*rows), footers)
     return EXIT_OK
 
 

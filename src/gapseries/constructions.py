@@ -127,18 +127,25 @@ def build_damping_gadget(
     )
 
 
-def domination_margin(gadget: DampingGadget, n: int, k: int) -> float:
+def domination_margin(gadget: DampingGadget, n, k):
     """Slack in the pairwise domination inequality for term pair (n, k).
 
     Returns  -q|n-k| - (ln damping_n - ln damping_k + shift_k * (lambda_n
     - lambda_k)).  Non-negative in exact arithmetic; implementations
     should allow a slack of inner_tail_error * (|n-k| + 1).
+
+    ``n`` and ``k`` are integers or integer arrays that broadcast; arrays
+    give an array of margins, two scalars a float (np.float64).
+    Elementwise float arithmetic rounds the same either way, so both are
+    bit-identical.
     """
-    if not (0 <= n <= gadget.n_terms) or not (1 <= k <= gadget.n_terms):
+    n = np.asarray(n)
+    k = np.asarray(k)
+    if not (np.all((0 <= n) & (n <= gadget.n_terms)) and np.all((1 <= k) & (k <= gadget.n_terms))):
         raise ValueError("n must be in [0, n_terms], k in [1, n_terms]")
     lam = gadget.exponents.values
     lhs = gadget.log_damping[n] - gadget.log_damping[k] + gadget.shifts[k] * (lam[n] - lam[k])
-    return -gadget.q * abs(n - k) - lhs
+    return -gadget.q * np.abs(n - k) - lhs
 
 
 def damped_series(spec: SeriesSpec, gadget: DampingGadget) -> SeriesSpec:

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapseries import build_witness_series, power_exponents, witness_exceptional_set
-from gapseries.cli import main
+from gapseries import build_damping_gadget, build_witness_series, domination_margin, geometric_exponents, power_exponents, witness_exceptional_set
+from gapseries.cli import _CSV_CHUNK_ROWS, _write_csv, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,6 +80,34 @@ class TestConfigErrors:
         assert run("gap-power", write_config(tmp_path, "c.json", payload), out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "grid_points" in err
+        assert not out.exists()
+
+
+class TestLemmaConfigErrors:
+    @pytest.mark.parametrize(
+        "lemma, series_count, phrase",
+        [
+            ({"q_values": [-1]}, 31, "q_values"),
+            ({"q_values": [0]}, 31, "q_values"),
+            ({"q_values": ["abc"]}, 31, "abc"),
+            ({"q_values": 2.0}, 31, "iterable"),
+            ({"n_terms": 1000}, 31, "n_terms"),
+            ({"n_terms": 0}, 31, "n_terms"),
+            ({"max_index": 1000}, 31, "max_index"),
+            ({"max_index": -1}, 31, "max_index"),
+            ({"tail_tol": "tight"}, 31, "tight"),
+            ({"n_terms": 1, "max_index": 1}, 2, "three exponents"),
+        ],
+    )
+    def test_bad_lemma_section_exits_1(self, tmp_path, capsys, lemma, series_count, phrase):
+        # each of these used to escape main() as a raw ValueError or TypeError
+        payload = json.loads((CONFIG_DIR / "geometric_lemma.json").read_text())
+        payload["series"]["count"] = series_count
+        payload["lemma"].update(lemma)
+        out = tmp_path / "o.csv"
+        assert run("lemma1", write_config(tmp_path, "c.json", payload), out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:") and phrase in err
         assert not out.exists()
 
 
@@ -354,3 +382,83 @@ class TestDetectionConsistency:
         d_coarse = sets[1.0].symmetric_difference(sets[0.5]).total_length
         d_fine = sets[0.5].symmetric_difference(sets[0.25]).total_length
         assert d_fine <= d_coarse + 1e-9
+
+
+def reference_cell(value):
+    # cell formatting of the row-wise writer that _write_csv replaced
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return f"{value:.17g}"
+    return str(value)
+
+
+def reference_csv(header, rows, footers=()):
+    lines = [",".join(header)] + [",".join(reference_cell(v) for v in row) for row in [*rows, *footers]]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0 / 3.0, 5e-324, -1.7976931348623157e308, 2.0]
+
+    def check(self, tmp_path, header, columns, footers=()):
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, columns, list(footers))
+        rows = list(zip(*[list(c) for c in columns]))
+        assert path.read_text() == reference_csv(header, rows, footers)
+        return path.read_text()
+
+    def test_float_array_keeps_signed_zero_and_specials(self, tmp_path):
+        col = np.array(self.SPECIAL * 3)
+        text = self.check(tmp_path, ["v"], [col])
+        assert text.split("\n")[1:7] == ["-0", "0", "inf", "-inf", "nan", "nan"]
+
+    def test_python_and_numpy_ints(self, tmp_path):
+        ints = np.array([3, -1, 0, 2**40, 3, -1], dtype=np.int64)
+        self.check(tmp_path, ["i", "u", "py"], [ints, ints.astype(np.uint8), [int(v) for v in ints]])
+
+    def test_mixed_object_columns_and_footers(self, tmp_path):
+        rows = [
+            ["gap", "", 1, 0.5, math.nan, "converging"],
+            ["exp", 2.0, np.int64(7), np.float64(-0.0), math.inf, "inconclusive"],
+            ["exp", 0.25, 15, 1e300 * 10, -math.inf, ""],
+        ]
+        footers = [["#measure", "h", math.nan], ["#cond88", 0.5, np.float64(1.5), "diverging"]]
+        self.check(tmp_path, ["a", "b", "c", "d", "e", "f"], list(zip(*rows)), footers)
+
+    def test_zero_rows_with_footers(self, tmp_path):
+        footers = [["#measure", "lebesgue", 0.0]]
+        text = self.check(tmp_path, ["x", "y"], list(zip(*[])), footers)
+        assert text == "x,y\n#measure,lebesgue,0\n"
+
+    def test_table_longer_than_one_chunk(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 2 * _CSV_CHUNK_ROWS + 7
+        # few distinct values, as in the q and n columns, and many, as in margins
+        floats = np.where(rng.random(n) < 0.1, -0.0, rng.choice([0.5, 1.0 / 3.0, math.inf], n))
+        ints = rng.integers(-5, 5, n)
+        objects = [v if i % 3 else "" for i, v in enumerate(rng.normal(size=n).tolist())]
+        self.check(tmp_path, ["f", "i", "m", "g"], [floats, ints, objects, rng.normal(size=n)])
+
+
+class TestLemmaGolden:
+    def test_array_margins_write_the_scalar_reference_bytes(self, tmp_path):
+        q_values = [0.4, 1.3, 2.9]
+        payload = {
+            "series": {"generator": "geometric", "base": 1.7, "count": 80},
+            "lemma": {"q_values": q_values, "n_terms": 79, "max_index": 79},
+        }
+        out = tmp_path / "o.csv"
+        assert run("lemma1", write_config(tmp_path, "c.json", payload), out) == 0
+        rows = []
+        for q in q_values:
+            g = build_damping_gadget(geometric_exponents(1.7, 80), q, 79)
+            for n in range(0, 80):
+                for k in range(1, 80):
+                    margin = domination_margin(g, n, k)
+                    tolerance = g.inner_tail_error * (abs(n - k) + 1)
+                    rows.append([q, n, k, margin, tolerance, int(margin >= -tolerance)])
+        assert len(rows) == 18960 > _CSV_CHUNK_ROWS
+        assert out.read_text() == reference_csv(["q", "n", "k", "margin", "tolerance", "pass"], rows)

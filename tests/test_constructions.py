@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapseries import (
     ExponentSequence,
@@ -112,6 +113,48 @@ class TestDominationMargin:
             domination_margin(g, 0, 0)
         with pytest.raises(ValueError):
             domination_margin(g, 11, 1)
+
+    def test_out_of_range_entry_in_an_array(self):
+        g = build_damping_gadget(GEOM40, 1.0, 10)
+        n = np.arange(0, 11)
+        for bad_n, bad_k in ((np.append(n, 11), 1), (n, np.append(np.ones(10, int), 0)), (3, [1, 2, 11])):
+            with pytest.raises(ValueError):
+                domination_margin(g, bad_n, bad_k)
+
+    def test_scalar_call_returns_float(self):
+        g = build_damping_gadget(GEOM40, 1.0, 10)
+        for n, k in ((4, 2), (np.int64(4), np.int64(2))):
+            m = domination_margin(g, n, k)
+            assert isinstance(m, float) and np.ndim(m) == 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        base=st.floats(1.3, 4.0),
+        q=st.floats(0.05, 5.0),
+        n_terms=st.integers(2, 60),
+    )
+    def test_array_grid_matches_scalar_formula_bit_for_bit(self, base, q, n_terms):
+        g = build_damping_gadget(geometric_exponents(base, n_terms + 90), q, n_terms)
+        lam = g.exponents.values
+        n, k = np.meshgrid(np.arange(0, n_terms + 1), np.arange(1, n_terms + 1), indexing="ij")
+        grid = domination_margin(g, n, k)
+        assert grid.shape == n.shape
+        # the scalar formula as written before margins became arrays
+        loop = np.array(
+            [
+                [
+                    -g.q * abs(i - j) - (g.log_damping[i] - g.log_damping[j] + g.shifts[j] * (lam[i] - lam[j]))
+                    for j in range(1, n_terms + 1)
+                ]
+                for i in range(0, n_terms + 1)
+            ]
+        )
+        scalar = np.array(
+            [[domination_margin(g, i, j) for j in range(1, n_terms + 1)] for i in range(0, n_terms + 1)]
+        )
+        # compare bit patterns, so -0.0 and 0.0 count as different
+        assert np.array_equal(grid.view(np.int64), loop.view(np.int64))
+        assert np.array_equal(grid.view(np.int64), scalar.view(np.int64))
 
 
 class TestDampedSeries:
