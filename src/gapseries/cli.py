@@ -10,13 +10,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import constructions as cons
 from . import criteria as crit
-from .config import RunConfig, function_from_spec, load_config, series_from_config
+from .config import RunConfig, load_config, series_from_config
 from .errors import (
     ConfigError,
     DomainError,
@@ -77,6 +78,15 @@ def _write_csv(path: Path, header: list[str], columns, footers: list[list] | Non
             fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
         for foot in footers or []:
             fh.write(",".join(_fmt(v) for v in foot) + "\n")
+
+
+def _count(value: int | None, default: int, lo: int, hi: int, where: str) -> int:
+    """A count bounded by the series length: ``value``, or ``default`` when
+    the config leaves it out, checked to lie in [lo, hi]."""
+    n = default if value is None else value
+    if not lo <= n <= hi:
+        raise ConfigError(f"{where} must lie in [{lo}, {hi}], got {n}")
+    return n
 
 
 def _detected_set(flagged: list[tuple[bool, float]], step: float) -> IntervalSet:
@@ -145,32 +155,28 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section")
     spec = series_from_config(cfg.series, cfg.seed)
-    x_min, x_max, step = cfg.sweep
-    xs = np.arange(x_min, x_max + step * 0.5, step).tolist()
+    sweep = cfg.sweep
+    xs = np.arange(sweep.x_min, sweep.x_max + sweep.step * 0.5, sweep.step).tolist()
     rows, flagged = _envelope_rows(spec, cfg, xs, xs)
-    detected = _detected_set(flagged, step)
+    detected = _detected_set(flagged, sweep.step)
     _write_csv(out, SWEEP_HEADER, zip(*rows), _measure_footers(detected, cfg.h, cfg.tolerances.quad_tol))
     return EXIT_OK
 
 
 def cmd_criteria(cfg: RunConfig, out: Path) -> int:
     spec_exponents = series_from_config(cfg.series, cfg.seed).exponents
-    n_terms = int(cfg.criteria.get("n_terms", len(spec_exponents) - 1))
-    alpha = float(cfg.criteria.get("alpha", 1.0))
+    n_max = len(spec_exponents) - 1
+    n_terms = _count(cfg.criteria.n_terms, n_max, 1, n_max, "criteria.n_terms")
+    alpha = cfg.criteria.alpha
     h = cfg.h
     # the explicit inverse when phi has one: one call less per criterion term
     inv = cfg.phi.inverse or cfg.phi.inv
 
-    def checkpoints(report):
-        cps = [c for c in (2**j - 1 for j in range(1, 64)) if c < report.terms.size]
-        if report.terms.size - 1 not in cps:
-            cps.append(report.terms.size - 1)
-        return cps
-
     rows = []
 
     def emit(report):
-        for c in checkpoints(report):
+        # the dyadic checkpoints past the first term, and the last term
+        for c in sorted({*crit._dyadic_checkpoints(report.terms.size)[1:], report.terms.size - 1}):
             sub = report.truncated(c + 1)
             last_ratio = float(sub.block_ratios[-1]) if sub.block_ratios.size else math.nan
             rows.append(
@@ -195,12 +201,11 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> int:
 def cmd_construct(cfg: RunConfig, out: Path) -> int:
     spec = series_from_config(cfg.series, cfg.seed)
     section = cfg.construct
-    b = float(section.get("b", 1.0))
-    n_terms = int(section.get("n_terms", len(spec.exponents) - 1))
-    depth = int(section.get("depth", min(30, n_terms - 1)))
-    phi1 = function_from_spec(section.get("phi1", {"name": "identity"}), "construct.phi1")
+    n_max = len(spec.exponents) - 1
+    n_terms = _count(section.n_terms, n_max, 3, n_max, "construct.n_terms")
+    depth = _count(section.depth, min(30, n_terms - 1), 1, n_terms, "construct.depth")
 
-    ws = cons.build_witness_series(spec.exponents, phi1.value, b, n_terms)
+    ws = cons.build_witness_series(spec.exponents, section.phi1.value, section.b, n_terms)
     exceptional = cons.witness_exceptional_set(ws, depth)
     measure_partials, lower_partials = cons.witness_measure_partials(ws, cfg.h, depth)
 
@@ -253,29 +258,18 @@ def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
     spec = series_from_config(cfg.series, cfg.seed)
     section = cfg.lemma
     n_stored = len(spec.exponents)
-    try:
-        q_values = [float(q) for q in section.get("q_values", (0.5, 1.0, 2.0))]
-        n_terms = int(section.get("n_terms", n_stored - 1))
-        max_index = int(section.get("max_index", n_terms))
-        tail_tol = float(section.get("tail_tol", cfg.tolerances.tail_tol))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"lemma: {exc}") from exc
-    if not all(0.0 < q < math.inf for q in q_values):
-        raise ConfigError(f"lemma.q_values must be positive and finite, got {q_values}")
     if n_stored < 3:
         raise ConfigError(f"lemma1 needs at least three exponents, the series has {n_stored}")
-    if not 1 <= n_terms <= n_stored - 1:
-        raise ConfigError(f"lemma.n_terms must lie in [1, {n_stored - 1}] for {n_stored} exponents, got {n_terms}")
-    if not 0 <= max_index <= n_terms:
-        raise ConfigError(f"lemma.max_index must lie in [0, n_terms={n_terms}], got {max_index}")
+    n_terms = _count(section.n_terms, n_stored - 1, 1, n_stored - 1, "lemma.n_terms")
+    max_index = _count(section.max_index, n_terms, 0, n_terms, "lemma.max_index")
 
     # the (n, k) grid, n outer and k inner, shared by every q
     n_idx = np.repeat(np.arange(0, max_index + 1), max_index)
     k_idx = np.tile(np.arange(1, max_index + 1), max_index + 1)
     distance = np.abs(n_idx - k_idx) + 1
     blocks = []
-    for q in q_values:
-        gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, tail_tol)
+    for q in section.q_values:
+        gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, section.tail_tol)
         margin = cons.domination_margin(gadget, n_idx, k_idx)
         tolerance = gadget.inner_tail_error * distance
         passed = (margin >= -tolerance).astype(np.int64)
@@ -286,20 +280,13 @@ def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
+    if cfg.gap_power is None:
+        raise ConfigError("gap-power command needs a 'gap_power' section")
     spec = series_from_config(cfg.series, cfg.seed)
     if not spec.exponents.is_integral():
         raise ConfigError("gap-power command needs integer exponents")
     section = cfg.gap_power
-    try:
-        r_min = float(section["r_min"])
-        r_max = float(section["r_max"])
-        r_points = int(section["r_points"])
-    except KeyError as exc:
-        raise ConfigError(f"gap_power section is missing {exc}") from exc
-    if not (0 < r_min < r_max) or r_points < 2:
-        raise ConfigError("need 0 < r_min < r_max and r_points >= 2")
-
-    rs = np.linspace(r_min, r_max, r_points).tolist()
+    rs = np.linspace(section.r_min, section.r_max, section.r_points).tolist()
     xs = [math.log(r) for r in rs]
     tol = cfg.tolerances
     rows, flagged_pairs = _envelope_rows(spec, cfg, rs, xs)
@@ -364,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
         out = args.out or cfg.output
         if out is None:
             raise ConfigError("no output path: pass --out or set 'output' in the config")

@@ -1,20 +1,26 @@
 """Run configuration: a single JSON file with nested tables.
 
-Unknown keys are rejected so that typos fail loudly instead of silently
-falling back to defaults.
+The schema lives here only.  Each table is read once, at load, into a
+frozen dataclass whose field names are its allowed keys: unknown keys are
+rejected so that typos fail loudly instead of silently falling back to
+defaults, values are cast by their field's type and ranges are checked in
+``__post_init__``.  Counts bounded by the series length (``n_terms``,
+``max_index``, ``depth``) stay ``None``, meaning "use the default", until
+a command has built the series.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .measure import MonotoneFn, builtin
+from .errors import ConfigError, GapSeriesError
+from .measure import MonotoneFn, builtin, identity
 from .series import ExponentSequence, SeriesSpec, geometric_exponents, power_exponents
 
 _FN_KEYS = {
@@ -30,16 +36,6 @@ _SERIES_KEYS = {
     "scale", "power", "base", "count", "coeffs",
 }
 _COEFF_KEYS = {"mode", "g", "jitter", "random_phases"}
-_SWEEP_KEYS = {"x_min", "x_max", "step"}
-_TOL_KEYS = {"rel_tol", "quad_tol", "phase_tol", "tail_tol", "grid_points", "delta"}
-_CRITERIA_KEYS = {"n_terms", "alpha"}
-_CONSTRUCT_KEYS = {"b", "n_terms", "depth", "phi1"}
-_LEMMA_KEYS = {"q_values", "n_terms", "max_index", "tail_tol"}
-_GAP_POWER_KEYS = {"r_min", "r_max", "r_points"}
-_TOP_KEYS = {
-    "series", "h", "phi", "sweep", "beta", "b_grid", "tolerances", "seed",
-    "output", "criteria", "construct", "lemma", "gap_power",
-}
 
 
 def _check_keys(table: dict, allowed: set[str], where: str) -> None:
@@ -50,15 +46,38 @@ def _check_keys(table: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _cast(key: str, cast, value):
+    """``cast(value)``; a TypeError, ValueError or OverflowError becomes one
+    ConfigError naming ``key``."""
+    try:
+        return cast(value)
+    except GapSeriesError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _positive(where: str, **values) -> None:
+    """Raise a ConfigError naming ``where.key`` unless the value, or every
+    entry of a tuple value, is finite and positive."""
+    for key, value in values.items():
+        if not all(0.0 < v < math.inf for v in (value if isinstance(value, tuple) else (value,))):
+            name = f"{where}.{key}" if where else key
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
+
+
 def function_from_spec(spec: dict, where: str = "function") -> MonotoneFn:
     _check_keys(spec, {"name"} | set().union(*_FN_KEYS.values()), where)
     name = spec.get("name")
-    if name not in _FN_KEYS:
-        raise ConfigError(f"{where}: unknown function name {name!r}; have {sorted(_FN_KEYS)}")
+    if not isinstance(name, str) or name not in _FN_KEYS:
+        raise ConfigError(f"{where}.name: unknown function name {name!r}; have {sorted(_FN_KEYS)}")
     params = {k: v for k, v in spec.items() if k != "name"}
     extra = set(params) - _FN_KEYS[name]
     if extra:
         raise ConfigError(f"{where}: {name} does not take {sorted(extra)}")
+    for key, value in params.items():
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
     try:
         return builtin(name, **params)
     except (TypeError, ValueError) as exc:
@@ -74,22 +93,142 @@ class Tolerances:
     grid_points: int = 4096
     delta: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ConfigError(f"tolerances.rel_tol must lie in (0, 1), got {self.rel_tol}")
+        _positive(
+            "tolerances", quad_tol=self.quad_tol, phase_tol=self.phase_tol, tail_tol=self.tail_tol, delta=self.delta
+        )
+        if self.grid_points < 2:
+            # the phase search needs a grid step ys[1] - ys[0]
+            raise ConfigError(f"tolerances.grid_points must be at least 2, got {self.grid_points}")
+
+
+@dataclass(frozen=True)
+class Sweep:
+    x_min: float
+    x_max: float
+    step: float
+
+    def __post_init__(self):
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise ConfigError(f"need finite sweep.x_min < sweep.x_max, got {self.x_min} and {self.x_max}")
+        _positive("sweep", step=self.step)
+
+
+@dataclass(frozen=True)
+class Criteria:
+    n_terms: int | None = None
+    alpha: float = 1.0
+
+    def __post_init__(self):
+        _positive("criteria", alpha=self.alpha)
+
+
+@dataclass(frozen=True)
+class Construct:
+    b: float = 1.0
+    n_terms: int | None = None
+    depth: int | None = None
+    phi1: MonotoneFn = field(default_factory=identity)
+
+    def __post_init__(self):
+        _positive("construct", b=self.b)
+
+
+@dataclass(frozen=True)
+class Lemma:
+    q_values: tuple[float, ...] = (0.5, 1.0, 2.0)
+    n_terms: int | None = None
+    max_index: int | None = None
+    # None until parse_config fills in tolerances.tail_tol
+    tail_tol: float | None = None
+
+    def __post_init__(self):
+        _positive("lemma", q_values=self.q_values)
+        if self.tail_tol is not None:
+            _positive("lemma", tail_tol=self.tail_tol)
+
+
+@dataclass(frozen=True)
+class GapPower:
+    r_min: float
+    r_max: float
+    r_points: int
+
+    def __post_init__(self):
+        _positive("gap_power", r_min=self.r_min, r_max=self.r_max)
+        if not self.r_min < self.r_max:
+            raise ConfigError(f"need gap_power.r_min < gap_power.r_max, got {self.r_min} and {self.r_max}")
+        if self.r_points < 2:
+            raise ConfigError(f"gap_power.r_points must be at least 2, got {self.r_points}")
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    series: dict | None
-    h: MonotoneFn
-    phi: MonotoneFn
-    sweep: tuple[float, float, float] | None
-    beta: float
-    b_grid: tuple[float, ...]
-    tolerances: Tolerances
-    seed: int
-    output: str | None
-    criteria: dict
-    construct: dict
-    lemma: dict
-    gap_power: dict
+    series: dict | None = None
+    h: MonotoneFn = field(default_factory=identity)
+    phi: MonotoneFn = field(default_factory=identity)
+    sweep: Sweep | None = None
+    beta: float = 0.3
+    b_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 10.0)
+    tolerances: Tolerances = field(default_factory=Tolerances)
+    seed: int = 0
+    output: str | None = None
+    criteria: Criteria = field(default_factory=Criteria)
+    construct: Construct = field(default_factory=Construct)
+    lemma: Lemma = field(default_factory=Lemma)
+    gap_power: GapPower | None = None
+
+    def __post_init__(self):
+        _positive("", beta=self.beta, b_grid=self.b_grid)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a string, got {self.output!r}")
+
+
+def _series_table(series, where: str) -> dict:
+    # the series stays a dict: series_from_config reads it
+    _check_keys(series, _SERIES_KEYS, where)
+    if "coeffs" in series:
+        _check_keys(series["coeffs"], _COEFF_KEYS, f"{where}.coeffs")
+    return series
+
+
+def _section(cls, table: dict, where: str):
+    """Read the JSON table ``table`` into the frozen dataclass ``cls``.
+
+    The fields of ``cls`` are the allowed keys.  A key left out takes the
+    field's default, and a field without a default is required.  Each value
+    given is cast by ``_CASTS`` under its field's type (``X | None`` casts
+    as ``X``), and ``cls.__post_init__`` checks the ranges.  Every failure
+    is one ConfigError naming ``where.key``.
+    """
+    schema = fields(cls)
+    _check_keys(table, {f.name for f in schema}, where or "config")
+    values = {}
+    for f in schema:
+        key = f"{where}.{f.name}" if where else f.name
+        if f.name not in table:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required key {key}")
+            continue
+        cast = _CASTS[f.type.removesuffix(" | None")]
+        values[f.name] = _cast(key, partial(cast, where=key), table[f.name])
+    return cls(**values)
+
+
+# casts by field type; each takes the raw value and the key it sits under
+_CASTS = {
+    "float": lambda value, where: float(value),
+    "int": lambda value, where: int(value),
+    "str": lambda value, where: value,
+    "tuple[float, ...]": lambda value, where: tuple(float(v) for v in value),
+    "dict": _series_table,
+    "MonotoneFn": function_from_spec,
+    **{cls.__name__: partial(_section, cls) for cls in (Tolerances, Sweep, Criteria, Construct, Lemma, GapPower)},
+}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -103,74 +242,13 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    _check_keys(raw, _TOP_KEYS, "config")
+    cfg = _section(RunConfig, raw, "")
+    if cfg.lemma.tail_tol is None:
+        cfg = replace(cfg, lemma=replace(cfg.lemma, tail_tol=cfg.tolerances.tail_tol))
+    return cfg
 
-    series = raw.get("series")
-    if series is not None:
-        _check_keys(series, _SERIES_KEYS, "series")
-        if "coeffs" in series:
-            _check_keys(series["coeffs"], _COEFF_KEYS, "series.coeffs")
 
-    h = function_from_spec(raw.get("h", {"name": "identity"}), "h")
-    phi = function_from_spec(raw.get("phi", {"name": "identity"}), "phi")
-
-    sweep = None
-    if "sweep" in raw:
-        _check_keys(raw["sweep"], _SWEEP_KEYS, "sweep")
-        try:
-            sweep = (float(raw["sweep"]["x_min"]), float(raw["sweep"]["x_max"]), float(raw["sweep"]["step"]))
-        except KeyError as exc:
-            raise ConfigError(f"sweep is missing {exc}") from exc
-        if not sweep[0] < sweep[1]:
-            raise ConfigError("sweep.x_min must be below sweep.x_max")
-        if sweep[2] <= 0:
-            raise ConfigError("sweep.step must be positive")
-
-    beta = float(raw.get("beta", 0.3))
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
-
-    b_grid = tuple(float(b) for b in raw.get("b_grid", (0.1, 0.5, 1.0, 2.0, 10.0)))
-    if any(b <= 0 for b in b_grid):
-        raise ConfigError("b_grid entries must be positive")
-
-    tol_raw = raw.get("tolerances", {})
-    _check_keys(tol_raw, _TOL_KEYS, "tolerances")
-    try:
-        tol_cast = {
-            k: int(v) if k == "grid_points" else float(v) for k, v in tol_raw.items()
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tolerances: {exc}") from exc
-    tolerances = Tolerances(**tol_cast)
-    if tolerances.grid_points < 2:
-        # the phase search needs a grid step ys[1] - ys[0]
-        raise ConfigError(f"tolerances.grid_points must be at least 2, got {tolerances.grid_points}")
-
-    for section, keys in (
-        ("criteria", _CRITERIA_KEYS),
-        ("construct", _CONSTRUCT_KEYS),
-        ("lemma", _LEMMA_KEYS),
-        ("gap_power", _GAP_POWER_KEYS),
-    ):
-        if section in raw:
-            _check_keys(raw[section], keys, section)
-
-    return RunConfig(
-        series=series,
-        h=h,
-        phi=phi,
-        sweep=sweep,
-        beta=beta,
-        b_grid=b_grid,
-        tolerances=tolerances,
-        seed=int(raw.get("seed", 0)),
-        output=raw.get("output"),
-        criteria=raw.get("criteria", {}),
-        construct=raw.get("construct", {}),
-        lemma=raw.get("lemma", {}),
-        gap_power=raw.get("gap_power", {}),
-    )
+_float_array = partial(np.asarray, dtype=float)
 
 
 def exponents_from_config(series: dict) -> ExponentSequence:
@@ -180,19 +258,23 @@ def exponents_from_config(series: dict) -> ExponentSequence:
         if generator == "explicit":
             if "exponents" not in series:
                 raise ConfigError("explicit series needs an 'exponents' list")
-            return ExponentSequence(np.asarray(series["exponents"], dtype=float), kind)
+            return ExponentSequence(_cast("series.exponents", _float_array, series["exponents"]), kind)
         if generator == "power":
             return power_exponents(
-                float(series.get("scale", 1.0)),
-                float(series.get("power", 1.0)),
-                int(series["count"]),
+                _cast("series.scale", float, series.get("scale", 1.0)),
+                _cast("series.power", float, series.get("power", 1.0)),
+                _cast("series.count", int, series["count"]),
                 kind,
             )
         if generator == "geometric":
-            return geometric_exponents(float(series.get("base", 2.0)), int(series["count"]), kind)
+            return geometric_exponents(
+                _cast("series.base", float, series.get("base", 2.0)), _cast("series.count", int, series["count"]), kind
+            )
     except KeyError as exc:
         raise ConfigError(f"series generator {generator!r} is missing {exc}") from exc
-    except ValueError as exc:
+    except GapSeriesError:
+        raise
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"series: {exc}") from exc
     raise ConfigError(f"unknown series generator {generator!r}")
 
@@ -206,8 +288,8 @@ def series_from_config(series: dict | None, seed: int) -> SeriesSpec:
     complete = bool(series.get("complete", False))
 
     if "log_moduli" in series:
-        log_moduli = np.asarray(series["log_moduli"], dtype=float)
-        phases = np.asarray(series["phases"], dtype=float) if "phases" in series else None
+        log_moduli = _cast("series.log_moduli", _float_array, series["log_moduli"])
+        phases = _cast("series.phases", _float_array, series["phases"]) if "phases" in series else None
         try:
             return SeriesSpec(exponents, log_moduli, phases, complete)
         except ValueError as exc:
@@ -223,8 +305,8 @@ def series_from_config(series: dict | None, seed: int) -> SeriesSpec:
     if mode != "random":
         raise ConfigError(f"unknown coeffs mode {mode!r}")
     g_fn = function_from_spec(coeffs.get("g", {"name": "identity"}), "series.coeffs.g")
-    jitter = float(coeffs.get("jitter", 1.0))
-    rng = np.random.default_rng(seed)
+    jitter = _cast("series.coeffs.jitter", float, coeffs.get("jitter", 1.0))
+    rng = _cast("seed", np.random.default_rng, seed)
     log_moduli = -lam * np.array([g_fn.value(v) for v in lam]) + jitter * rng.uniform(0.0, 1.0, lam.size)
     phases = rng.uniform(0.0, 2.0 * math.pi, lam.size) if coeffs.get("random_phases", False) else None
     try:

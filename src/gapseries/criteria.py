@@ -41,7 +41,13 @@ class CriterionReport:
         return float(self.partial_sums[-1]) if self.partial_sums.size else 0.0
 
     def truncated(self, n_terms: int) -> "CriterionReport":
-        return make_report(self.name, self.terms[:n_terms], self.b)
+        """The report of the first ``n_terms`` terms, equal to
+        ``make_report(name, terms[:n_terms], b)``: partial sums are
+        sequential and each block ratio depends only on its own three
+        checkpoints, so both are prefixes of the stored arrays."""
+        terms = self.terms[:n_terms]
+        ratios = self.block_ratios[: max(len(_dyadic_checkpoints(terms.size)) - 2, 0)]
+        return CriterionReport(self.name, terms, self.partial_sums[: terms.size], ratios, _verdict(ratios), self.b)
 
 
 def _dyadic_checkpoints(n: int) -> list[int]:

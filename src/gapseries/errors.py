@@ -15,7 +15,7 @@ class HorizonExceeded(GapSeriesError):
 
 
 class InvalidTolerance(GapSeriesError, ValueError):
-    """A relative tolerance outside (0, 1) was supplied."""
+    """A tolerance or search grid outside its valid range was supplied."""
 
 
 class DomainError(GapSeriesError, ValueError):

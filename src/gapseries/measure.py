@@ -325,12 +325,6 @@ class IntervalSet:
         a, b = self.intervals[pos - 1]
         return x <= b if self.include_right else x < b
 
-    def _boundaries(self) -> list[float]:
-        out: list[float] = []
-        for a, b in self.intervals:
-            out.extend((a, b))
-        return out
-
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         pieces = []
         for a, b in self.intervals:

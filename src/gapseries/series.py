@@ -369,6 +369,13 @@ class PhaseSearchOpts:
     rel_tol: float = 1e-9
     delta: float = 1.0
 
+    def __post_init__(self):
+        # the golden-section search runs until each bracket is below phase_tol
+        if not 0.0 < self.phase_tol < math.inf:
+            raise InvalidTolerance(f"phase_tol must be finite and positive, got {self.phase_tol}")
+        if self.grid_points < 2:
+            raise InvalidTolerance(f"grid_points must be at least 2, got {self.grid_points}")
+
 
 @dataclass(frozen=True)
 class ModulusResult:

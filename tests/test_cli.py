@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapseries import build_damping_gadget, build_witness_series, domination_margin, geometric_exponents, power_exponents, witness_exceptional_set
 from gapseries.cli import _CSV_CHUNK_ROWS, _write_csv, main
@@ -109,6 +113,119 @@ class TestLemmaConfigErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:") and phrase in err
         assert not out.exists()
+
+
+CURATED = {
+    "geometric_criteria.json": "criteria",
+    "geometric_damped_sweep.json": "sweep",
+    "geometric_lemma.json": "lemma1",
+    "two_term_gap_power.json": "gap-power",
+    "witness_construct.json": "construct",
+}
+
+
+def edited(name, path, value):
+    """The curated config ``name`` with the entry at ``path`` set to ``value``
+    (missing tables on the way are created)."""
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    node = payload
+    for step in path[:-1]:
+        node = node.setdefault(step, {}) if isinstance(node, dict) else node[step]
+    node[path[-1]] = value
+    return payload
+
+
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def run_edit(tmp, name, path, value):
+    """Run the curated command on an edited config: (exit code, stderr, files written)."""
+    cfg = write_config(tmp, "c.json", edited(name, path, value))
+    out_dir = tmp / "out"
+    out_dir.mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(CURATED[name], cfg, out_dir / "o.csv")
+    return code, err.getvalue(), sorted(p.name for p in out_dir.iterdir())
+
+
+NAN, INF = math.nan, math.inf
+CRIT, SWEEP, LEMMA = "geometric_criteria.json", "geometric_damped_sweep.json", "geometric_lemma.json"
+GAP, WITNESS = "two_term_gap_power.json", "witness_construct.json"
+
+
+class TestEveryConfigErrorExits1:
+    @pytest.mark.parametrize(
+        "name, path, value, key",
+        [
+            # escaped main() as a traceback
+            (CRIT, ("criteria", "n_terms"), "abc", "criteria.n_terms"),
+            (CRIT, ("criteria", "n_terms"), 1000, "criteria.n_terms"),
+            (CRIT, ("criteria", "n_terms"), 0, "criteria.n_terms"),
+            (CRIT, ("criteria", "alpha"), 0, "criteria.alpha"),
+            (CRIT, ("criteria", "alpha"), "x", "criteria.alpha"),
+            (CRIT, ("h", "name"), {}, "h.name"),
+            (CRIT, ("b_grid", 0), "x", "b_grid"),
+            (WITNESS, ("construct", "n_terms"), 1000, "construct.n_terms"),
+            (WITNESS, ("construct", "n_terms"), 0, "construct.n_terms"),
+            (WITNESS, ("construct", "depth"), 0, "construct.depth"),
+            (WITNESS, ("construct", "depth"), "x", "construct.depth"),
+            (WITNESS, ("construct", "b"), 0, "construct.b"),
+            (WITNESS, ("construct", "phi1", "name"), [], "construct.phi1.name"),
+            (SWEEP, ("beta",), "x", "beta"),
+            (SWEEP, ("sweep", "x_min"), "x", "sweep.x_min"),
+            (SWEEP, ("sweep", "step"), NAN, "sweep.step"),
+            (SWEEP, ("sweep", "x_max"), INF, "sweep.x_max"),
+            (SWEEP, ("seed",), "x", "seed"),
+            (GAP, ("gap_power", "r_points"), NAN, "gap_power.r_points"),
+            (GAP, ("gap_power", "r_max"), INF, "gap_power.r_max"),
+            (GAP, ("gap_power", "r_min"), "x", "gap_power.r_min"),
+            (LEMMA, ("series", "base"), {}, "series.base"),
+            # the series section and the seed
+            (SWEEP, ("series", "coeffs", "jitter"), "x", "series.coeffs.jitter"),
+            (GAP, ("series", "log_moduli", 0), "x", "series.log_moduli"),
+            (CRIT, ("series", "count"), INF, "series.count"),
+            (SWEEP, ("seed",), -1, "seed"),
+            # exited 0 with InvalidTolerance rows, or with no flagged point at all
+            (SWEEP, ("tolerances", "rel_tol"), 0, "tolerances.rel_tol"),
+            (SWEEP, ("tolerances", "rel_tol"), 2, "tolerances.rel_tol"),
+            (SWEEP, ("beta",), NAN, "beta"),
+            (SWEEP, ("tolerances", "quad_tol"), NAN, "tolerances.quad_tol"),
+            (CRIT, ("output",), 5, "output"),
+            # hung in the golden-section search
+            (GAP, ("tolerances", "phase_tol"), 0, "tolerances.phase_tol"),
+            (GAP, ("tolerances", "phase_tol"), -1, "tolerances.phase_tol"),
+        ],
+    )
+    def test_one_line_and_no_output(self, tmp_path, name, path, value, key):
+        code, err, written = run_edit(tmp_path, name, path, value)
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("config error:") and key in err
+        assert written == []
+
+
+# a bad value in every position; large finite magnitudes are left out on
+# purpose: grid_points 1e9 or x_max 1e12 is valid and asks for gigabytes
+BAD_VALUES = ["x", None, [], {}, True, -1, 0, NAN, INF, -INF]
+LEAVES = [(name, path) for name in CURATED for path in leaf_paths(json.loads((CONFIG_DIR / name).read_text()))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(LEAVES), st.sampled_from(BAD_VALUES))
+def test_bad_leaf_never_escapes_main(leaf, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, _ = run_edit(Path(tmp), *leaf, value)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapseries import (
     ClassMembershipParams,
@@ -63,6 +64,18 @@ class TestVerdicts:
 
     def test_all_zero_terms_converge(self):
         assert make_report("x", np.zeros(64)).verdict == "converging"
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([0.0, math.inf, 5e-324, 1e308]) | st.floats(0.0, 1e3), max_size=70),
+        st.integers(0, 75),
+    )
+    def test_truncated_equals_report_of_prefix(self, terms, n):
+        with np.errstate(over="ignore"):  # sums of 1e308 terms overflow to inf on purpose
+            got, want = make_report("x", terms, 0.5).truncated(n), make_report("x", terms[:n], 0.5)
+        for field in ("terms", "partial_sums", "block_ratios"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.name, got.b, got.verdict) == (want.name, want.b, want.verdict)
 
 
 class TestReductionToGapCriterion:

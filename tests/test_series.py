@@ -271,6 +271,16 @@ class TestModuli:
         res = max_modulus(spec, 0.5, PhaseSearchOpts(grid_points=1024))
         assert res.window_approximate
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"phase_tol": 0.0}, {"phase_tol": -1.0}, {"phase_tol": math.nan}, {"phase_tol": math.inf},
+         {"grid_points": 1}, {"grid_points": 0}],
+    )
+    def test_search_options_out_of_range_raise(self, kwargs):
+        # phase_tol <= 0 used to make the golden-section loop run forever
+        with pytest.raises(InvalidTolerance):
+            PhaseSearchOpts(**kwargs)
+
 
 EPS = np.finfo(float).eps
 #: a coarse grid keeps the property tests fast; the properties hold on any grid
