@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config error, 2 numeric certification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,39 +44,83 @@ def _fmt(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _fmt_column(column) -> list[str]:
-    """Cells of one column as text, byte-identical to ``_fmt`` per cell.
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a non-empty 1-D array, and each
+    entry's index into them in the narrowest unsigned type that holds it.
 
-    A float ndarray formats each distinct bit pattern once (so -0.0 stays
-    "-0"), an integer ndarray each distinct value once; any other sequence,
-    such as a column mixing strings and numbers, goes through ``_fmt``.
+    The same as ``np.unique(keys, return_inverse=True)``, except for the
+    index type, and with no row-sized intp temporary beyond the sort
+    permutation: a writer keeps one index per row and column, so its
+    width sets the peak memory of a long table.
+    """
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    uniq = ordered[first]
+    index = np.empty(keys.size, dtype=np.min_scalar_type(uniq.size))
+    index[perm] = np.cumsum(first, dtype=index.dtype) - 1
+    return uniq, index
+
+
+def _fmt_column(column, sep: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cells of one non-empty column as text, each followed by ``sep``
+    and byte-identical to ``_fmt(cell) + sep``.
+
+    Returns ``(text, index)``: row i reads ``text[index[i]]``, or
+    ``text[i]`` when ``index`` is None.  A float ndarray formats each
+    distinct bit pattern once over the whole column (so -0.0 stays "-0"),
+    an integer ndarray each distinct value once; any other sequence, such
+    as a column mixing strings and numbers, goes through ``_fmt`` per cell.
     """
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
     if kind == "f":
-        uniq, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
-        text = [f"{v:.17g}" for v in uniq.view(np.float64).tolist()]
+        uniq, index = _distinct(np.asarray(column, dtype=np.float64).view(np.int64))
+        values = uniq.view(np.float64).tolist()
+        # one %-format call over every distinct value is cheaper than one
+        # f-string each; NUL cannot occur in the text, so it splits the cells
+        text = (f"%.17g{sep}\0" * len(values) % tuple(values)).split("\0")[:-1]
     elif kind in ("i", "u"):
-        uniq, inverse = np.unique(column, return_inverse=True)
-        text = [str(v) for v in uniq.tolist()]
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < column.size:
+            # a narrow range needs no sort: a value's offset from the minimum
+            # is its index.  Both steps wrap modulo 2**bits, so a signed span
+            # wider than the dtype's positive half still comes out exact
+            index = (column - column.min()).astype(np.min_scalar_type(hi - lo))
+            text = [f"{v}{sep}" for v in range(lo, hi + 1)]
+        else:
+            uniq, index = _distinct(column)
+            text = [f"{v}{sep}" for v in uniq.tolist()]
     else:
-        return [_fmt(v) for v in column]
-    return np.array(text, dtype=object)[inverse].tolist()
+        return np.array([_fmt(v) + sep for v in column], dtype=object), None
+    return np.array(text, dtype=object), index
 
 
 def _write_csv(path: Path, header: list[str], columns, footers: list[list] | None = None) -> None:
     """Write a table given column by column, then footer rows.
 
     ``columns`` holds one equal-length sequence per header entry; tables
-    built row by row pass ``zip(*rows)``.  The text is formatted and
-    written _CSV_CHUNK_ROWS rows at a time.
+    built row by row pass ``zip(*rows)``.  Each column is formatted once,
+    and the rows are joined and written _CSV_CHUNK_ROWS at a time.
     """
     columns = list(columns)
     n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError(f"columns of unequal length: {[len(col) for col in columns]}")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            cells = [_fmt_column(col[start : start + _CSV_CHUNK_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+        if n_rows:
+            seps = [","] * (len(columns) - 1) + ["\n"]
+            formatted = [_fmt_column(col, sep) for col, sep in zip(columns, seps)]
+            # one object cell per (row, column): a chunk's text is its cells in row order
+            grid = np.empty((min(n_rows, _CSV_CHUNK_ROWS), len(columns)), dtype=object)
+            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+                rows = grid[: min(_CSV_CHUNK_ROWS, n_rows - start)]
+                stop = start + len(rows)
+                for j, (text, index) in enumerate(formatted):
+                    rows[:, j] = text[start:stop] if index is None else text[index[start:stop]]
+                fh.write("".join(rows.ravel().tolist()))
         for foot in footers or []:
             fh.write(",".join(_fmt(v) for v in foot) + "\n")
 
@@ -267,14 +312,23 @@ def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
     n_idx = np.repeat(np.arange(0, max_index + 1), max_index)
     k_idx = np.tile(np.arange(1, max_index + 1), max_index + 1)
     distance = np.abs(n_idx - k_idx) + 1
-    blocks = []
-    for q in section.q_values:
+    n_q = len(section.q_values)
+    # one block of rows per q, each column filled in place
+    margin = np.empty(n_q * n_idx.size)
+    tolerance = np.empty(n_q * n_idx.size)
+    for block, q in enumerate(section.q_values):
         gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, section.tail_tol)
-        margin = cons.domination_margin(gadget, n_idx, k_idx)
-        tolerance = gadget.inner_tail_error * distance
-        passed = (margin >= -tolerance).astype(np.int64)
-        blocks.append((np.full(n_idx.size, q), n_idx, k_idx, margin, tolerance, passed))
-    columns = [np.concatenate(col) for col in zip(*blocks)] if blocks else []
+        rows = slice(block * n_idx.size, (block + 1) * n_idx.size)
+        margin[rows] = cons.domination_margin(gadget, n_idx, k_idx)
+        tolerance[rows] = gadget.inner_tail_error * distance
+    columns = [
+        np.repeat(np.asarray(section.q_values, dtype=np.float64), n_idx.size),
+        np.tile(n_idx, n_q),
+        np.tile(k_idx, n_q),
+        margin,
+        tolerance,
+        (margin >= -tolerance).astype(np.int64),
+    ]
     _write_csv(out, ["q", "n", "k", "margin", "tolerance", "pass"], columns)
     return EXIT_OK
 
@@ -346,8 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and shared: parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -57,6 +57,14 @@ def _cast(key: str, cast, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _boolean(key: str, value) -> bool:
+    """``value`` if it is a JSON boolean, else a ConfigError naming ``key``:
+    a string such as "false" is truthy."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _positive(where: str, **values) -> None:
     """Raise a ConfigError naming ``where.key`` unless the value, or every
     entry of a tuple value, is finite and positive."""
@@ -285,7 +293,7 @@ def series_from_config(series: dict | None, seed: int) -> SeriesSpec:
     if series is None:
         raise ConfigError("this command needs a 'series' section")
     exponents = exponents_from_config(series)
-    complete = bool(series.get("complete", False))
+    complete = _boolean("series.complete", series.get("complete", False))
 
     if "log_moduli" in series:
         log_moduli = _cast("series.log_moduli", _float_array, series["log_moduli"])
@@ -299,6 +307,7 @@ def series_from_config(series: dict | None, seed: int) -> SeriesSpec:
         raise ConfigError("series.phases requires explicit series.log_moduli")
     coeffs = series.get("coeffs", {"mode": "flat"})
     mode = coeffs.get("mode", "random")
+    random_phases = _boolean("series.coeffs.random_phases", coeffs.get("random_phases", False))
     lam = exponents.values
     if mode == "flat":
         return SeriesSpec(exponents, np.zeros(lam.size), None, complete)
@@ -308,7 +317,7 @@ def series_from_config(series: dict | None, seed: int) -> SeriesSpec:
     jitter = _cast("series.coeffs.jitter", float, coeffs.get("jitter", 1.0))
     rng = _cast("seed", np.random.default_rng, seed)
     log_moduli = -lam * np.array([g_fn.value(v) for v in lam]) + jitter * rng.uniform(0.0, 1.0, lam.size)
-    phases = rng.uniform(0.0, 2.0 * math.pi, lam.size) if coeffs.get("random_phases", False) else None
+    phases = rng.uniform(0.0, 2.0 * math.pi, lam.size) if random_phases else None
     try:
         return SeriesSpec(exponents, log_moduli, phases, complete)
     except ValueError as exc:

@@ -109,9 +109,10 @@ class SeriesSpec:
     """Stored prefix of a series: exponents, ln|a_n| and arg(a_n).
 
     Only nonzero coefficients are stored, so every log modulus must be
-    finite.  ``complete=True`` marks the prefix as the whole series (a
-    polynomial in e^z, or in z for gap-power exponents); truncation tail
-    bounds and the horizon guard are skipped in that case.
+    finite; so must every phase.  ``complete=True`` marks the prefix as
+    the whole series (a polynomial in e^z, or in z for gap-power
+    exponents); truncation tail bounds and the horizon guard are skipped
+    in that case.
     """
 
     exponents: ExponentSequence
@@ -124,7 +125,10 @@ class SeriesSpec:
         if self.phases is None:
             ph = np.zeros(len(self.exponents))
         else:
-            ph = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
+            ph = np.asarray(self.phases, dtype=float)
+            if not np.all(np.isfinite(ph)):
+                raise ValueError("phases must be finite")
+            ph = np.mod(ph, TWO_PI)
         object.__setattr__(self, "phases", _readonly(ph))
         n = len(self.exponents)
         if self.log_moduli.shape != (n,) or self.phases.shape != (n,):

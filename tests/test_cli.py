@@ -203,6 +203,12 @@ class TestEveryConfigErrorExits1:
             # hung in the golden-section search
             (GAP, ("tolerances", "phase_tol"), 0, "tolerances.phase_tol"),
             (GAP, ("tolerances", "phase_tol"), -1, "tolerances.phase_tol"),
+            # a truthy string made a truncated series complete, or drew phases
+            (GAP, ("series", "complete"), "false", "series.complete"),
+            (GAP, ("series", "complete"), 1, "series.complete"),
+            (SWEEP, ("series", "coeffs", "random_phases"), "false", "series.coeffs.random_phases"),
+            # exited 0 with nan envelopes and no flagged point
+            (GAP, ("series", "phases"), [NAN, 0.0], "phases must be finite"),
         ],
     )
     def test_one_line_and_no_output(self, tmp_path, name, path, value, key):
@@ -244,6 +250,19 @@ class TestExitCodes:
     def test_io_failure_is_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", SINGLE_TERM)
         assert run("sweep", cfg, tmp_path / "missing_dir" / "o.csv") == 3
+
+    def test_usage_error_exits_2_on_every_call(self, tmp_path, capsys):
+        # one parser serves every main() call in a process
+        cfg = write_config(tmp_path, "c.json", SINGLE_TERM)
+        errors = []
+        for argv in (["bogus"], ["sweep", "--seed", "x"], ["bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+            assert run("sweep", cfg, tmp_path / "o.csv") == 0
+        assert errors[0] == errors[2] and "invalid choice: 'bogus'" in errors[0]
+        assert "invalid int value: 'x'" in errors[1]
 
 
 class TestSweep:
@@ -524,7 +543,9 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         _write_csv(path, header, columns, list(footers))
         rows = list(zip(*[list(c) for c in columns]))
-        assert path.read_text() == reference_csv(header, rows, footers)
+        # compared as lines: pytest reports the first differing line of a long
+        # table at once, where a diff of the two strings takes minutes
+        assert path.read_text().split("\n") == reference_csv(header, rows, footers).split("\n")
         return path.read_text()
 
     def test_float_array_keeps_signed_zero_and_specials(self, tmp_path):
@@ -550,14 +571,64 @@ class TestWriteCsv:
         text = self.check(tmp_path, ["x", "y"], list(zip(*[])), footers)
         assert text == "x,y\n#measure,lebesgue,0\n"
 
-    def test_table_longer_than_one_chunk(self, tmp_path):
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+    @pytest.mark.parametrize("n", [_CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS + 7])
+    def test_table_longer_than_one_chunk(self, tmp_path, n):
         rng = np.random.default_rng(5)
-        n = 2 * _CSV_CHUNK_ROWS + 7
         # few distinct values, as in the q and n columns, and many, as in margins
         floats = np.where(rng.random(n) < 0.1, -0.0, rng.choice([0.5, 1.0 / 3.0, math.inf], n))
         ints = rng.integers(-5, 5, n)
         objects = [v if i % 3 else "" for i, v in enumerate(rng.normal(size=n).tolist())]
         self.check(tmp_path, ["f", "i", "m", "g"], [floats, ints, objects, rng.normal(size=n)])
+
+    # quiet and signalling NaNs of both signs, with and without payload bits
+    NAN_PAYLOADS = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+        dtype=np.uint64,
+    ).view(np.float64)
+
+    @staticmethod
+    def column(kind, pool, rng, n):
+        """One column of ``n`` rows drawn from a small pool of distinct
+        values, so that duplicates fall in different chunks."""
+        if kind == "float":
+            return rng.choice(np.concatenate([pool, [-0.0, 0.0], TestWriteCsv.NAN_PAYLOADS]), n)
+        if kind == "float many":
+            return rng.choice(rng.normal(size=n // 2 + 1), n)
+        if kind == "int narrow":
+            lo = int(rng.integers(-(2**63), 2**63 - n))
+            return lo + rng.integers(0, n, n)
+        if kind == "int8 full span":
+            # wider than int8's positive half
+            return rng.integers(-128, 128, n, dtype=np.int8)
+        if kind == "int wide":
+            return rng.choice(np.array([-(2**63), 2**63 - 1, 0, -1, 7, 2**40], dtype=np.int64), n)
+        if kind == "uint8":
+            return rng.integers(0, 256, n, dtype=np.uint8)
+        if kind == "uint64":
+            return rng.choice(np.array([0, 1, 2**63, 2**64 - 1, 2**64 - 2], dtype=np.uint64), n)
+        # mixed: Python and numpy scalars, strings, as in criteria and sweep rows
+        mixed = ["", "gap", 7, np.int64(-3), np.uint8(200), *pool.tolist(), np.float64(-0.0), math.nan]
+        return [mixed[i] for i in rng.integers(0, len(mixed), n)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([1, 2, 255, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 3]),
+        kinds=st.lists(
+            st.sampled_from(["float", "float many", "int narrow", "int8 full span", "int wide", "uint8", "uint64", "mixed"]),
+            min_size=1, max_size=4,
+        ),
+        pool=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_row_wise_reference(self, n, kinds, pool, seed):
+        rng = np.random.default_rng(seed)
+        columns = [self.column(kind, np.array(pool), rng, n) for kind in kinds]
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp), [f"c{j}" for j in range(len(kinds))], columns, [["#measure", "h", -0.0]])
 
 
 class TestLemmaGolden:

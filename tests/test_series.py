@@ -66,6 +66,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             SeriesSpec(ExponentSequence([0.0, 1.0]), np.array([0.0, -np.inf]))
 
+    @pytest.mark.parametrize("phase", [np.nan, np.inf])
+    def test_nonfinite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            SeriesSpec(ExponentSequence([0.0, 1.0]), np.zeros(2), np.array([phase, 0.0]))
+
     def test_phases_wrapped(self):
         spec = SeriesSpec(ExponentSequence([0.0]), np.zeros(1), np.array([3 * TWO_PI + 1.0]))
         assert abs(spec.phases[0] - 1.0) < 1e-12
