@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import criteria as crit
-from .config import RunConfig, load_config, series_from_config
+from .config import MAX_LEMMA_ROWS, RunConfig, load_config, series_from_config
 from .errors import (
     ConfigError,
     DomainError,
@@ -27,7 +27,7 @@ from .errors import (
     QuadratureError,
     TailNotCertified,
 )
-from .measure import IntervalSet, MonotoneFn, h_measure, h_log_measure, log_measure
+from .measure import IntervalSet, MonotoneFn, density_measure, h_measure, h_log_measure, log_measure
 from .series import PhaseSearchOpts, SeriesSpec, log_maximal_term, max_modulus, min_modulus, sum_modulus
 
 EXIT_OK = 0
@@ -311,6 +311,8 @@ def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
         raise ConfigError(f"lemma1 needs at least three exponents, the series has {n_stored}")
     n_terms = _count(section.n_terms, n_stored - 1, 1, n_stored - 1, "lemma.n_terms")
     max_index = _count(section.max_index, n_terms, 0, n_terms, "lemma.max_index")
+    if len(section.q_values) * (max_index + 1) * max_index > MAX_LEMMA_ROWS:
+        raise ConfigError(f"lemma.max_index {max_index} gives more than the cap of {MAX_LEMMA_ROWS} table rows")
 
     # the (n, k) grid, n outer and k inner, shared by every q
     n_idx = np.repeat(np.arange(0, max_index + 1), max_index)
@@ -321,7 +323,7 @@ def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
     margin = np.empty(n_q * n_idx.size)
     tolerance = np.empty(n_q * n_idx.size)
     for block, q in enumerate(section.q_values):
-        gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, section.tail_tol)
+        gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, cfg.tolerances.tail_tol)
         rows = slice(block * n_idx.size, (block + 1) * n_idx.size)
         margin[rows] = cons.domination_margin(gadget, n_idx, k_idx)
         tolerance[rows] = gadget.inner_tail_error * distance
@@ -357,8 +359,6 @@ def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
     footers = _measure_footers(detected, cfg.h, tol.quad_tol)
     if detected:
         try:
-            from .measure import density_measure
-
             image = detected.log_image()
             footers.append(
                 ["#measure", "h_image",

@@ -13,37 +13,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, GapSeriesError
-from .measure import MonotoneFn, builtin, identity
-from .series import ExponentSequence, SeriesSpec, geometric_exponents, power_exponents
+from .measure import _BUILTINS, MonotoneFn, builtin, identity
+from .series import _KINDS, ExponentSequence, SeriesSpec, geometric_exponents, power_exponents
 
-_FN_KEYS = {
-    "identity": set(),
-    "power": {"exponent", "scale"},
-    "exp": {"rate"},
-    "log_shifted": set(),
-    "affine": {"slope", "intercept"},
-}
-
-_SERIES_KEYS = {
-    "generator", "kind", "complete", "exponents", "log_moduli", "phases",
-    "scale", "power", "base", "count", "coeffs",
-}
-_COEFF_KEYS = {"mode", "g", "jitter", "random_phases"}
-
-
-def _check_keys(table: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(table, dict):
-        raise ConfigError(f"{where} must be a table, got {type(table).__name__}")
-    unknown = set(table) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+#: size caps, each 10x or more the largest a curated config, benchmark
+#: workload or test uses: a larger table exits 1 instead of exhausting memory
+MAX_GRID_POINTS = 1 << 16
+MAX_POINTS = 100_000
+MAX_GRID_PRODUCT = 1 << 24
+MAX_SERIES_COUNT = 1_000_000
+MAX_LEMMA_ROWS = 1_000_000
 
 
 def _cast(key: str, cast, value):
@@ -57,11 +43,11 @@ def _cast(key: str, cast, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _boolean(key: str, value) -> bool:
-    """``value`` if it is a JSON boolean, else a ConfigError naming ``key``:
-    a string such as "false" is truthy."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+def _json(kind: type, value, where: str):
+    """``value`` if it is a JSON ``kind``, else a ConfigError naming ``where``:
+    the string "false" is truthy, and a string or a table iterates like a list."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
@@ -75,14 +61,14 @@ def _positive(where: str, **values) -> None:
 
 
 def function_from_spec(spec: dict, where: str = "function") -> MonotoneFn:
-    _check_keys(spec, {"name"} | set().union(*_FN_KEYS.values()), where)
+    """The builtin named by ``spec["name"]``, called with the other keys:
+    the factory's signature decides which keys it takes."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a table, got {type(spec).__name__}")
     name = spec.get("name")
-    if not isinstance(name, str) or name not in _FN_KEYS:
-        raise ConfigError(f"{where}.name: unknown function name {name!r}; have {sorted(_FN_KEYS)}")
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ConfigError(f"{where}.name: unknown function name {name!r}; have {sorted(_BUILTINS)}")
     params = {k: v for k, v in spec.items() if k != "name"}
-    extra = set(params) - _FN_KEYS[name]
-    if extra:
-        raise ConfigError(f"{where}: {name} does not take {sorted(extra)}")
     for key, value in params.items():
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
@@ -107,9 +93,9 @@ class Tolerances:
         _positive(
             "tolerances", quad_tol=self.quad_tol, phase_tol=self.phase_tol, tail_tol=self.tail_tol, delta=self.delta
         )
-        if self.grid_points < 2:
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             # the phase search needs a grid step ys[1] - ys[0]
-            raise ConfigError(f"tolerances.grid_points must be at least 2, got {self.grid_points}")
+            raise ConfigError(f"tolerances.grid_points must lie in [2, {MAX_GRID_POINTS}], got {self.grid_points}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +108,15 @@ class Sweep:
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise ConfigError(f"need finite sweep.x_min < sweep.x_max, got {self.x_min} and {self.x_max}")
         _positive("sweep", step=self.step)
+        if self.points > MAX_POINTS:
+            raise ConfigError(
+                f"sweep.step: (x_max - x_min)/step + 1 is {self.points:.6g} points, above the cap of {MAX_POINTS}"
+            )
+
+    @property
+    def points(self) -> float:
+        """The number of abscissas, to within one."""
+        return (self.x_max - self.x_min) / self.step + 1.0
 
 
 @dataclass(frozen=True)
@@ -149,13 +144,9 @@ class Lemma:
     q_values: tuple[float, ...] = (0.5, 1.0, 2.0)
     n_terms: int | None = None
     max_index: int | None = None
-    # None until parse_config fills in tolerances.tail_tol
-    tail_tol: float | None = None
 
     def __post_init__(self):
         _positive("lemma", q_values=self.q_values)
-        if self.tail_tol is not None:
-            _positive("lemma", tail_tol=self.tail_tol)
 
 
 @dataclass(frozen=True)
@@ -168,13 +159,59 @@ class GapPower:
         _positive("gap_power", r_min=self.r_min, r_max=self.r_max)
         if not self.r_min < self.r_max:
             raise ConfigError(f"need gap_power.r_min < gap_power.r_max, got {self.r_min} and {self.r_max}")
-        if self.r_points < 2:
-            raise ConfigError(f"gap_power.r_points must be at least 2, got {self.r_points}")
+        if not 2 <= self.r_points <= MAX_POINTS:
+            raise ConfigError(f"gap_power.r_points must lie in [2, {MAX_POINTS}], got {self.r_points}")
+
+
+@dataclass(frozen=True)
+class Coeffs:
+    """Random coefficients ln|a_n| = -lambda_n g(lambda_n) + jitter U[0,1)."""
+
+    mode: str = "random"
+    g: MonotoneFn = field(default_factory=identity)
+    jitter: float = 1.0
+    random_phases: bool = False
+
+    def __post_init__(self):
+        if self.mode not in ("flat", "random"):
+            raise ConfigError(f"series.coeffs.mode: unknown mode {self.mode!r}; have ['flat', 'random']")
+
+
+@dataclass(frozen=True)
+class Series:
+    """The explicit generator needs ``exponents``, the others ``count``.
+    Explicit ``log_moduli`` (and ``phases``) override ``coeffs``, and no
+    ``coeffs`` at all means flat moduli."""
+
+    generator: str = "explicit"
+    kind: str = "dirichlet"
+    complete: bool = False
+    exponents: tuple[float, ...] | None = None
+    log_moduli: tuple[float, ...] | None = None
+    phases: tuple[float, ...] | None = None
+    scale: float = 1.0
+    power: float = 1.0
+    base: float = 2.0
+    count: int | None = None
+    coeffs: Coeffs | None = None
+
+    def __post_init__(self):
+        if self.generator not in ("explicit", "power", "geometric"):
+            raise ConfigError(f"series.generator: unknown {self.generator!r}; have explicit, power, geometric")
+        required = "exponents" if self.generator == "explicit" else "count"
+        if getattr(self, required) is None:
+            raise ConfigError(f"missing key series.{required}, required by generator {self.generator!r}")
+        if self.kind not in _KINDS:
+            raise ConfigError(f"series.kind: unknown kind {self.kind!r}; have {list(_KINDS)}")
+        if self.phases is not None and self.log_moduli is None:
+            raise ConfigError("series.phases requires explicit series.log_moduli")
+        if self.count is not None and not 1 <= self.count <= MAX_SERIES_COUNT:
+            raise ConfigError(f"series.count must lie in [1, {MAX_SERIES_COUNT}], got {self.count}")
 
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    series: dict | None = None
+    series: Series | None = None
     h: MonotoneFn = field(default_factory=identity)
     phi: MonotoneFn = field(default_factory=identity)
     sweep: Sweep | None = None
@@ -194,14 +231,12 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output must be a string, got {self.output!r}")
-
-
-def _series_table(series, where: str) -> dict:
-    # the series stays a dict: series_from_config reads it
-    _check_keys(series, _SERIES_KEYS, where)
-    if "coeffs" in series:
-        _check_keys(series["coeffs"], _COEFF_KEYS, f"{where}.coeffs")
-    return series
+        points = {"sweep": self.sweep and self.sweep.points, "gap_power": self.gap_power and self.gap_power.r_points}
+        for where, n in points.items():
+            if n and n * self.tolerances.grid_points > MAX_GRID_PRODUCT:
+                raise ConfigError(
+                    f"{where}: {n:.6g} points times tolerances.grid_points exceed the cap of {MAX_GRID_PRODUCT}"
+                )
 
 
 def _section(cls, table: dict, where: str):
@@ -214,7 +249,11 @@ def _section(cls, table: dict, where: str):
     is one ConfigError naming ``where.key``.
     """
     schema = fields(cls)
-    _check_keys(table, {f.name for f in schema}, where or "config")
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where or 'config'} must be a table, got {type(table).__name__}")
+    unknown = set(table) - {f.name for f in schema}
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")
     values = {}
     for f in schema:
         key = f"{where}.{f.name}" if where else f.name
@@ -232,10 +271,13 @@ _CASTS = {
     "float": lambda value, where: float(value),
     "int": lambda value, where: int(value),
     "str": lambda value, where: value,
-    "tuple[float, ...]": lambda value, where: tuple(float(v) for v in value),
-    "dict": _series_table,
+    "bool": partial(_json, bool),
+    "tuple[float, ...]": lambda value, where: tuple(float(v) for v in _json(list, value, where)),
     "MonotoneFn": function_from_spec,
-    **{cls.__name__: partial(_section, cls) for cls in (Tolerances, Sweep, Criteria, Construct, Lemma, GapPower)},
+    **{
+        cls.__name__: partial(_section, cls)
+        for cls in (Tolerances, Sweep, Criteria, Construct, Lemma, GapPower, Coeffs, Series)
+    },
 }
 
 
@@ -246,79 +288,35 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return _section(RunConfig, raw, "")
 
 
-def parse_config(raw: dict) -> RunConfig:
-    cfg = _section(RunConfig, raw, "")
-    if cfg.lemma.tail_tol is None:
-        cfg = replace(cfg, lemma=replace(cfg.lemma, tail_tol=cfg.tolerances.tail_tol))
-    return cfg
-
-
-_float_array = partial(np.asarray, dtype=float)
-
-
-def exponents_from_config(series: dict) -> ExponentSequence:
-    generator = series.get("generator", "explicit")
-    kind = series.get("kind", "dirichlet")
-    try:
-        if generator == "explicit":
-            if "exponents" not in series:
-                raise ConfigError("explicit series needs an 'exponents' list")
-            return ExponentSequence(_cast("series.exponents", _float_array, series["exponents"]), kind)
-        if generator == "power":
-            return power_exponents(
-                _cast("series.scale", float, series.get("scale", 1.0)),
-                _cast("series.power", float, series.get("power", 1.0)),
-                _cast("series.count", int, series["count"]),
-                kind,
-            )
-        if generator == "geometric":
-            return geometric_exponents(
-                _cast("series.base", float, series.get("base", 2.0)), _cast("series.count", int, series["count"]), kind
-            )
-    except KeyError as exc:
-        raise ConfigError(f"series generator {generator!r} is missing {exc}") from exc
-    except GapSeriesError:
-        raise
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"series: {exc}") from exc
-    raise ConfigError(f"unknown series generator {generator!r}")
-
-
-def series_from_config(series: dict | None, seed: int) -> SeriesSpec:
+def series_from_config(series: Series | None, seed: int) -> SeriesSpec:
     """Build the series spec; random coefficients draw from a generator
     seeded with ``seed`` (jitter first, then phases, documented order)."""
     if series is None:
         raise ConfigError("this command needs a 'series' section")
-    exponents = exponents_from_config(series)
-    complete = _boolean("series.complete", series.get("complete", False))
-
-    if "log_moduli" in series:
-        log_moduli = _cast("series.log_moduli", _float_array, series["log_moduli"])
-        phases = _cast("series.phases", _float_array, series["phases"]) if "phases" in series else None
-        try:
-            return SeriesSpec(exponents, log_moduli, phases, complete)
-        except ValueError as exc:
-            raise ConfigError(f"series: {exc}") from exc
-
-    if "phases" in series:
-        raise ConfigError("series.phases requires explicit series.log_moduli")
-    coeffs = series.get("coeffs", {"mode": "flat"})
-    mode = coeffs.get("mode", "random")
-    random_phases = _boolean("series.coeffs.random_phases", coeffs.get("random_phases", False))
-    lam = exponents.values
-    if mode == "flat":
-        return SeriesSpec(exponents, np.zeros(lam.size), None, complete)
-    if mode != "random":
-        raise ConfigError(f"unknown coeffs mode {mode!r}")
-    g_fn = function_from_spec(coeffs.get("g", {"name": "identity"}), "series.coeffs.g")
-    jitter = _cast("series.coeffs.jitter", float, coeffs.get("jitter", 1.0))
-    rng = _cast("seed", np.random.default_rng, seed)
-    log_moduli = -lam * np.array([g_fn.value(v) for v in lam]) + jitter * rng.uniform(0.0, 1.0, lam.size)
-    phases = rng.uniform(0.0, 2.0 * math.pi, lam.size) if random_phases else None
     try:
-        return SeriesSpec(exponents, log_moduli, phases, complete)
-    except ValueError as exc:
+        if series.generator == "explicit":
+            exponents = ExponentSequence(np.asarray(series.exponents), series.kind)
+        elif series.generator == "power":
+            exponents = power_exponents(series.scale, series.power, series.count, series.kind)
+        else:
+            exponents = geometric_exponents(series.base, series.count, series.kind)
+        lam = exponents.values
+        coeffs = series.coeffs
+        if series.log_moduli is not None:
+            log_moduli = np.asarray(series.log_moduli)
+            phases = None if series.phases is None else np.asarray(series.phases)
+        elif coeffs is None or coeffs.mode == "flat":
+            log_moduli, phases = np.zeros(lam.size), None
+        else:
+            rng = np.random.default_rng(seed)
+            g = np.array([coeffs.g.value(v) for v in lam])
+            with np.errstate(over="ignore", invalid="ignore"):
+                # an overflow leaves a non-finite modulus, which SeriesSpec rejects
+                log_moduli = -lam * g + coeffs.jitter * rng.uniform(0.0, 1.0, lam.size)
+            phases = rng.uniform(0.0, 2.0 * math.pi, lam.size) if coeffs.random_phases else None
+        return SeriesSpec(exponents, log_moduli, phases, series.complete)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"series: {exc}") from exc

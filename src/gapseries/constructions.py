@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import criterion_inverse_shifted
 from .errors import HorizonExceeded, MonotoneViolation, OutsideExceptionalSetWarning, TailNotCertified
 from .measure import IntervalSet, MonotoneFn
 from .series import (
@@ -242,7 +243,8 @@ def transition_measure_bound(
 ) -> float:
     """Partial sum of the closed-form bound on the h-measure of the
     transition set:  2q * sum_k h'(phi(lambda_k) + 2q/gap_{k+1}) /
-    gap_{k+1}  to ``depth`` terms.
+    gap_{k+1}  to ``depth`` terms, i.e. 2q times the inverse-shifted
+    criterion at b = 2q.
 
     The term-by-term comparison requires h to have non-decreasing
     derivative and the series to satisfy the growth condition tied to
@@ -250,14 +252,7 @@ def transition_measure_bound(
     """
     if depth > gadget.n_terms:
         raise ValueError(f"depth {depth} exceeds gadget horizon {gadget.n_terms}")
-    lam = gadget.exponents.values
-    gaps = gadget.exponents.gaps
-    q = gadget.q
-    total = 0.0
-    for k in range(depth):
-        step = 2.0 * q / gaps[k]
-        total += step * h.derivative(phi(lam[k]) + step)
-    return total
+    return 2.0 * gadget.q * criterion_inverse_shifted(gadget.exponents, h, phi, 2.0 * gadget.q, depth).total
 
 
 def residual_threshold(q: float) -> float:
@@ -371,8 +366,11 @@ def build_witness_series(
         raise MonotoneViolation(f"switch point {bad} fell below its growth floor")
 
     log_moduli = np.zeros(n_terms + 1)
-    for n in range(1, n_terms + 1):
-        log_moduli[n] = log_moduli[n - 1] - switch[n] * gaps[n - 1]
+    with np.errstate(over="ignore"):
+        for n in range(1, n_terms + 1):
+            log_moduli[n] = log_moduli[n - 1] - switch[n] * gaps[n - 1]
+    if not np.all(np.isfinite(log_moduli)):
+        raise HorizonExceeded("the witness log moduli leave the float64 range")
     spec = SeriesSpec(
         ExponentSequence(lam[: n_terms + 1], exponents.kind),
         log_moduli,
@@ -382,7 +380,8 @@ def build_witness_series(
 
 def witness_exceptional_set(ws: WitnessSeries, depth: int) -> IntervalSet:
     """First ``depth`` intervals [switch_n, switch_n + 1/gap_n], stored
-    half-open with closed-right membership semantics."""
+    half-open with closed-right membership semantics.  HorizonExceeded
+    when a width 1/gap_n is lost in the rounding of its switch point."""
     if depth < 0 or depth > ws.n_terms:
         raise ValueError(f"depth must lie in [0, {ws.n_terms}]")
     gaps = ws.spec.exponents.gaps
@@ -390,7 +389,10 @@ def witness_exceptional_set(ws: WitnessSeries, depth: int) -> IntervalSet:
         (float(ws.switch_points[n]), float(ws.switch_points[n] + 1.0 / gaps[n - 1]))
         for n in range(1, depth + 1)
     ]
-    return IntervalSet.from_pairs(pairs, include_right=True)
+    try:
+        return IntervalSet.from_pairs(pairs, include_right=True)
+    except ValueError as exc:
+        raise HorizonExceeded(f"a witness interval is below float64 resolution: {exc}") from exc
 
 
 def witness_ratio(ws: WitnessSeries, x: float, rel_tol: float = 1e-9) -> float:

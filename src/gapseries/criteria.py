@@ -109,6 +109,15 @@ def _gaps(exponents: ExponentSequence, n_terms: int | None) -> tuple[np.ndarray,
     return exponents.values[:n], gaps[:n]
 
 
+def _weighted(
+    name: str, exponents: ExponentSequence, h: MonotoneFn, arg, n_terms: int | None, b: float | None = None
+) -> CriterionReport:
+    """The report of h'(arg(lambda_n, gap_n)) / gap_n over the first
+    ``n_terms`` terms, with h' evaluated term by term."""
+    lam, g = _gaps(exponents, n_terms)
+    return make_report(name, np.array([h.derivative(arg(x, gap)) for x, gap in zip(lam, g)]) / g, b)
+
+
 def criterion_gap(exponents: ExponentSequence, n_terms: int | None = None) -> CriterionReport:
     """Base criterion: sum of reciprocal gaps 1/(lambda_{n+1} - lambda_n)."""
     _, g = _gaps(exponents, n_terms)
@@ -124,9 +133,7 @@ def criterion_inverse_shifted(
 ) -> CriterionReport:
     """Reciprocal gaps weighted by h' at the inverse-growth point shifted
     by b over the gap: h'(phi(lambda_n) + b/gap_n) / gap_n."""
-    lam, g = _gaps(exponents, n_terms)
-    dens = np.array([h.derivative(phi(lam[k]) + b / g[k]) for k in range(lam.size)])
-    return make_report("inverse_shifted", dens / g, b)
+    return _weighted("inverse_shifted", exponents, h, lambda lam, gap: phi(lam) + b / gap, n_terms, b)
 
 
 def criterion_scaled_inverse_shifted(
@@ -138,9 +145,7 @@ def criterion_scaled_inverse_shifted(
 ) -> CriterionReport:
     """Variant with the inverse taken at b*lambda_n:
     h'(phi0(b*lambda_n) + b/gap_n) / gap_n."""
-    lam, g = _gaps(exponents, n_terms)
-    dens = np.array([h.derivative(phi0(b * lam[k]) + b / g[k]) for k in range(lam.size)])
-    return make_report("scaled_inverse_shifted", dens / g, b)
+    return _weighted("scaled_inverse_shifted", exponents, h, lambda lam, gap: phi0(b * lam) + b / gap, n_terms, b)
 
 
 def criterion_scaled_inverse(
@@ -153,9 +158,7 @@ def criterion_scaled_inverse(
     """h'(b * phi1(b*lambda_n)) / gap_n; divergence of this sum for some b
     is exactly the hypothesis under which the witness construction
     produces an infinite-measure exceptional set."""
-    lam, g = _gaps(exponents, n_terms)
-    dens = np.array([h.derivative(b * phi1(b * lam[k])) for k in range(lam.size)])
-    return make_report("scaled_inverse", dens / g, b)
+    return _weighted("scaled_inverse", exponents, h, lambda lam, gap: b * phi1(b * lam), n_terms, b)
 
 
 def criterion_power_growth(
@@ -169,9 +172,7 @@ def criterion_power_growth(
     h'(b * lambda_n^(1/alpha) + b/gap_n) / gap_n."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lam, g = _gaps(exponents, n_terms)
-    dens = np.array([h.derivative(b * lam[k] ** (1.0 / alpha) + b / g[k]) for k in range(lam.size)])
-    return make_report("power_growth", dens / g, b)
+    return _weighted("power_growth", exponents, h, lambda lam, gap: b * lam ** (1.0 / alpha) + b / gap, n_terms, b)
 
 
 def criterion_exp_inverse(
@@ -183,10 +184,8 @@ def criterion_exp_inverse(
 ) -> CriterionReport:
     """Radius-domain variant for gap power series:
     h'(exp(phi(n_k) + b/gap_k)) / gap_k."""
-    lam, g = _gaps(exponents, n_terms)
     with np.errstate(over="ignore"):
-        dens = np.array([h.derivative(float(np.exp(phi(lam[k]) + b / g[k]))) for k in range(lam.size)])
-    return make_report("exp_inverse", dens / g, b)
+        return _weighted("exp_inverse", exponents, h, lambda lam, gap: float(np.exp(phi(lam) + b / gap)), n_terms, b)
 
 
 def criterion_plain_inverse(
@@ -197,9 +196,7 @@ def criterion_plain_inverse(
 ) -> CriterionReport:
     """Exploratory variant h'(phi(lambda_n)) / gap_n for decreasing-density
     h.  Conjectural territory: no correctness contract backs its verdict."""
-    lam, g = _gaps(exponents, n_terms)
-    dens = np.array([h.derivative(phi(lam[k])) for k in range(lam.size)])
-    return make_report("plain_inverse", dens / g)
+    return _weighted("plain_inverse", exponents, h, lambda lam, gap: phi(lam), n_terms)
 
 
 @dataclass(frozen=True, eq=False)

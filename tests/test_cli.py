@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gapseries import build_damping_gadget, build_witness_series, domination_margin, geometric_exponents, power_exponents, witness_exceptional_set
 from gapseries.cli import _CSV_CHUNK_ROWS, _write_csv, main
+from gapseries.config import load_config, series_from_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -87,27 +88,49 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+class TestSeriesTable:
+    GEOMETRIC = {"generator": "geometric", "base": 2.0, "count": 31}
+
+    def test_no_coeffs_means_flat_moduli(self, tmp_path):
+        series = load_config(write_config(tmp_path, "c.json", {"series": self.GEOMETRIC})).series
+        assert np.array_equal(series_from_config(series, 3).log_moduli, np.zeros(31))
+
+    def test_empty_coeffs_draw_random_moduli_from_the_seed(self, tmp_path):
+        payload = {"series": {**self.GEOMETRIC, "coeffs": {}}}
+        series = load_config(write_config(tmp_path, "c.json", payload)).series
+        lam = series_from_config(series, 3).exponents.values
+        # mode "random", g = identity, jitter 1 and no phases
+        want = -lam * lam + np.random.default_rng(3).uniform(0.0, 1.0, lam.size)
+        assert series_from_config(series, 3).log_moduli.tobytes() == want.tobytes()
+        assert not np.array_equal(series_from_config(series, 4).log_moduli, want)
+
+
 class TestLemmaConfigErrors:
     @pytest.mark.parametrize(
-        "lemma, series_count, phrase",
+        "tables, series_count, phrase",
         [
-            ({"q_values": [-1]}, 31, "q_values"),
-            ({"q_values": [0]}, 31, "q_values"),
-            ({"q_values": ["abc"]}, 31, "abc"),
-            ({"q_values": 2.0}, 31, "iterable"),
-            ({"n_terms": 1000}, 31, "n_terms"),
-            ({"n_terms": 0}, 31, "n_terms"),
-            ({"max_index": 1000}, 31, "max_index"),
-            ({"max_index": -1}, 31, "max_index"),
-            ({"tail_tol": "tight"}, 31, "tight"),
-            ({"n_terms": 1, "max_index": 1}, 2, "three exponents"),
+            ({"lemma": {"q_values": [-1]}}, 31, "q_values"),
+            ({"lemma": {"q_values": [0]}}, 31, "q_values"),
+            ({"lemma": {"q_values": ["abc"]}}, 31, "abc"),
+            ({"lemma": {"q_values": 2.0}}, 31, "JSON list"),
+            ({"lemma": {"n_terms": 1000}}, 31, "n_terms"),
+            ({"lemma": {"n_terms": 0}}, 31, "n_terms"),
+            ({"lemma": {"max_index": 1000}}, 31, "max_index"),
+            ({"lemma": {"max_index": -1}}, 31, "max_index"),
+            ({"tolerances": {"tail_tol": "tight"}}, 31, "tight"),
+            # the lemma's own tail_tol key is gone: tolerances.tail_tol sets it
+            ({"lemma": {"tail_tol": 1e-8}}, 31, "tail_tol"),
+            ({"lemma": {"n_terms": 1, "max_index": 1}}, 2, "three exponents"),
+            # 3 q values on a 1000 x 999 grid: exits before a gadget is built
+            ({"lemma": {"n_terms": 999, "max_index": 999}}, 1000, "lemma.max_index"),
         ],
     )
-    def test_bad_lemma_section_exits_1(self, tmp_path, capsys, lemma, series_count, phrase):
+    def test_bad_lemma_section_exits_1(self, tmp_path, capsys, tables, series_count, phrase):
         # each of these used to escape main() as a raw ValueError or TypeError
         payload = json.loads((CONFIG_DIR / "geometric_lemma.json").read_text())
         payload["series"]["count"] = series_count
-        payload["lemma"].update(lemma)
+        for section, entries in tables.items():
+            payload.setdefault(section, {}).update(entries)
         out = tmp_path / "o.csv"
         assert run("lemma1", write_config(tmp_path, "c.json", payload), out) == 1
         err = capsys.readouterr().err
@@ -209,6 +232,25 @@ class TestEveryConfigErrorExits1:
             (SWEEP, ("series", "coeffs", "random_phases"), "false", "series.coeffs.random_phases"),
             # exited 0 with nan envelopes and no flagged point
             (GAP, ("series", "phases"), [NAN, 0.0], "phases must be finite"),
+            # a string or a table is iterable: these ran with b in {2, 4, 8} and q = 2
+            (CRIT, ("b_grid",), "248", "b_grid"),
+            (LEMMA, ("lemma", "q_values"), {"2": 0}, "lemma.q_values"),
+            (GAP, ("series", "exponents"), "01", "series.exponents"),
+            # every series key is read at load, and its errors name it
+            (CRIT, ("series", "generator"), "fibonacci", "series.generator"),
+            (CRIT, ("series", "generator"), "explicit", "series.exponents"),
+            (GAP, ("series", "generator"), "geometric", "series.count"),
+            (CRIT, ("series", "kind"), "laurent", "series.kind"),
+            (CRIT, ("series", "phases"), [0.0], "series.phases"),
+            (SWEEP, ("series", "coeffs", "mode"), "wild", "series.coeffs.mode"),
+            (CRIT, ("series", "coeffs"), {"mode": "flat", "g": {"name": "cubic"}}, "series.coeffs.g"),
+            # size caps: each exits at load, before anything is allocated
+            (SWEEP, ("tolerances", "grid_points"), 10**9, "tolerances.grid_points"),
+            (SWEEP, ("sweep", "x_max"), 1e12, "sweep.step"),
+            (GAP, ("gap_power", "r_points"), 10**9, "gap_power.r_points"),
+            (CRIT, ("series", "count"), 10**9, "series.count"),
+            (SWEEP, ("sweep", "x_max"), 20_000.0, "tolerances.grid_points"),
+            (GAP, ("gap_power", "r_points"), 5_000, "tolerances.grid_points"),
         ],
     )
     def test_one_line_and_no_output(self, tmp_path, name, path, value, key):
@@ -218,9 +260,9 @@ class TestEveryConfigErrorExits1:
         assert written == []
 
 
-# a bad value in every position; large finite magnitudes are left out on
-# purpose: grid_points 1e9 or x_max 1e12 is valid and asks for gigabytes
-BAD_VALUES = ["x", None, [], {}, True, -1, 0, NAN, INF, -INF]
+# a bad value in every position, large finite magnitudes too: a count or a
+# grid above its cap exits 1 at load instead of asking for gigabytes
+BAD_VALUES = ["x", None, [], {}, True, -1, 0, NAN, INF, -INF, 10**9, 1e12]
 LEAVES = [(name, path) for name in CURATED for path in leaf_paths(json.loads((CONFIG_DIR / name).read_text()))]
 
 
@@ -246,6 +288,17 @@ class TestExitCodes:
             },
         )
         assert run("lemma1", cfg, tmp_path / "o.csv") == 2
+
+    @pytest.mark.parametrize(
+        "path, value, phrase",
+        [(("construct", "b"), 1e9, "below float64 resolution"), (("series", "base"), 1e9, "float64 range")],
+    )
+    def test_witness_beyond_float64_is_exit_2(self, tmp_path, path, value, phrase):
+        # both escaped main() as a ValueError
+        code, err, written = run_edit(tmp_path, WITNESS, path, value)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("certification failure:") and phrase in err
+        assert written == []
 
     def test_io_failure_is_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", SINGLE_TERM)

@@ -17,6 +17,7 @@ from gapseries import (
     central_index_table,
     covered_transitions,
     criterion_gap,
+    criterion_inverse_shifted,
     criterion_scaled_inverse,
     damped_series,
     domination_margin,
@@ -24,6 +25,7 @@ from gapseries import (
     h_measure,
     identity,
     leading_term_residual,
+    log_shifted,
     power,
     power_exponents,
     residual_threshold,
@@ -248,6 +250,22 @@ class TestTransitionStructure:
         bound = transition_measure_bound(self.gadget, power(2.0), lambda t: t, depth)
         assert bound == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("h", [identity(), power(2.0), power(0.5), log_shifted()], ids=lambda h: h.name)
+    def test_measure_bound_is_the_inverse_shifted_criterion(self, q, h):
+        gadget = build_damping_gadget(GEOM31, q, 30)
+        phi = lambda t: 1.0 + math.sqrt(t)
+        depth = 30
+        bound = transition_measure_bound(gadget, h, phi, depth)
+        assert bound == 2.0 * q * criterion_inverse_shifted(GEOM31, h, phi, 2.0 * q, depth).total
+        # the loop the bound was summed by before, as the reference
+        lam, gaps = GEOM31.values, GEOM31.gaps
+        want = 0.0
+        for k in range(depth):
+            step = 2.0 * q / gaps[k]
+            want += step * h.derivative(phi(lam[k]) + step)
+        assert abs(bound - want) <= depth * np.finfo(float).eps * abs(want)
+
     def test_measure_dominated_by_bound(self):
         e1 = transition_exceptional_set(self.spec, self.gadget, 25)
         for h in (identity(), power(2.0)):
@@ -363,6 +381,13 @@ class TestWitnessExceptionalSet:
             b = a + 1.0 / gaps[n - 1]
             assert (a, b) in e.intervals  # exact member, length 1/gap
             assert b < ws.switch_points[n + 1]  # fits inside the segment
+
+    def test_interval_below_float_resolution_raises_horizon_exceeded(self):
+        # at depth 28 the width 1/gap = 2^-27 is below one ulp of the switch point
+        ws = build_witness_series(GEOM31, lambda t: t, 1.0, 30)
+        assert witness_exceptional_set(ws, 27)
+        with pytest.raises(HorizonExceeded, match="below float64 resolution"):
+            witness_exceptional_set(ws, 28)
 
     def test_depth_validation(self):
         ws = build_witness_series(power_exponents(1.0, 1.0, 12), lambda t: t, 1.0, 10)

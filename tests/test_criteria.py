@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from gapseries import (
     criterion_scaled_inverse,
     criterion_scaled_inverse_shifted,
     estimate_lower_order,
+    exponential,
     geometric_exponents,
     identity,
     log_shifted,
@@ -102,6 +104,59 @@ class TestReductionToGapCriterion:
         base = criterion_gap(DENSE, 200).terms
         rep = criterion_inverse_shifted(DENSE, h, lambda t: math.sqrt(t), 2.0, 200)
         assert np.array_equal(rep.terms, base)
+
+
+B, ALPHA = 0.7, 2.0
+
+
+def PHI(t):
+    return 1.0 + math.sqrt(t)
+
+
+# term k of each weighted criterion is h'(arg) / gap_k; these are the
+# arguments as each criterion wrote them out before they shared one helper
+SEED_ARGS = {
+    "inverse_shifted": lambda lam, g, k: PHI(lam[k]) + B / g[k],
+    "scaled_inverse_shifted": lambda lam, g, k: PHI(B * lam[k]) + B / g[k],
+    "scaled_inverse": lambda lam, g, k: B * PHI(B * lam[k]),
+    "power_growth": lambda lam, g, k: B * lam[k] ** (1.0 / ALPHA) + B / g[k],
+    "exp_inverse": lambda lam, g, k: float(np.exp(PHI(lam[k]) + B / g[k])),
+    "plain_inverse": lambda lam, g, k: PHI(lam[k]),
+}
+CALLS = {
+    "inverse_shifted": lambda e, h, n: criterion_inverse_shifted(e, h, PHI, B, n),
+    "scaled_inverse_shifted": lambda e, h, n: criterion_scaled_inverse_shifted(e, h, PHI, B, n),
+    "scaled_inverse": lambda e, h, n: criterion_scaled_inverse(e, h, PHI, B, n),
+    "power_growth": lambda e, h, n: criterion_power_growth(e, h, ALPHA, B, n),
+    "exp_inverse": lambda e, h, n: criterion_exp_inverse(e, h, PHI, B, n),
+    "plain_inverse": lambda e, h, n: criterion_plain_inverse(e, h, PHI, n),
+}
+
+
+class TestSeedTermReference:
+    @pytest.mark.parametrize("name", list(SEED_ARGS))
+    @pytest.mark.parametrize(
+        "h", [power(2.0), power(0.5), log_shifted(), exponential()], ids=lambda h: h.name
+    )
+    @pytest.mark.parametrize("exponents, n", [(GEOM, 30), (SQUARES, 300)], ids=["geometric", "squares"])
+    def test_terms_match_the_seed_expression(self, name, h, exponents, n):
+        lam, g = exponents.values[:n], exponents.gaps[:n]
+        quiet = np.errstate(over="ignore") if name == "exp_inverse" else contextlib.nullcontext()
+        with quiet:
+            want = np.array([h.derivative(SEED_ARGS[name](lam, g, k)) for k in range(n)]) / g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = CALLS[name](exponents, h, n)
+        assert rep.terms.tobytes() == want.tobytes()
+        assert (rep.name, rep.b) == (name, None if name == "plain_inverse" else B)
+
+    def test_exp_inverse_overflows_to_inf_without_a_warning(self):
+        # exp(1 + sqrt(2^k)) passes the float range at k = 19
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = criterion_exp_inverse(GEOM, power(2.0), PHI, B, 30)
+        assert np.all(np.isinf(rep.terms[19:])) and np.all(np.isfinite(rep.terms[:19]))
+        assert rep.total == math.inf
 
 
 class TestInverseShifted:
