@@ -14,8 +14,9 @@ elsewhere in the package.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -59,7 +60,9 @@ def _np_exp(v: float) -> float:
 
 
 def _np_pow(base: float, exponent: float) -> float:
-    with np.errstate(over="ignore"):
+    # inf past the float range and for 0 ** -e, nan for a negative base and
+    # a fractional exponent
+    with np.errstate(all="ignore"):
         return float(np.power(base, exponent))
 
 
@@ -80,17 +83,17 @@ def power(exponent: float, scale: float = 1.0) -> MonotoneFn:
         raise ValueError("exponent and scale must be positive")
     tag = "L_plus" if exponent >= 1.0 else "L_minus"
 
-    # float ** raises OverflowError where np.power returns inf, as _np_exp does
+    # math.pow raises, for numpy floats too, where np.power returns inf or nan
     def value(x):
         try:
-            return scale * x**exponent
-        except OverflowError:
+            return scale * math.pow(x, exponent)
+        except (OverflowError, ValueError):
             return scale * _np_pow(x, exponent)
 
     def derivative(x):
         try:
-            return scale * exponent * x ** (exponent - 1.0)
-        except OverflowError:
+            return scale * exponent * math.pow(x, exponent - 1.0)
+        except (OverflowError, ValueError):
             return scale * exponent * _np_pow(x, exponent - 1.0)
 
     # integral of scale * exponent * r**(q - 1) over [a, b), with q = exponent - 1:
@@ -325,15 +328,6 @@ class IntervalSet:
         a, b = self.intervals[pos - 1]
         return x <= b if self.include_right else x < b
 
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        pieces = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    pieces.append((lo, hi))
-        return IntervalSet(tuple(pieces), self.include_right)
-
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         pieces = []
         for a, b in self.intervals:
@@ -349,11 +343,6 @@ class IntervalSet:
             if cur < b:
                 pieces.append((cur, b))
         return IntervalSet(tuple(pieces), self.include_right)
-
-    def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
-        left = self.difference(other)
-        right = other.difference(self)
-        return IntervalSet(left.intervals + right.intervals, self.include_right)
 
     def coalesce(self) -> "IntervalSet":
         """Merge touching neighbours; measures are unchanged."""
@@ -394,21 +383,51 @@ def log_measure(intervals: IntervalSet, strict: bool = False) -> float:
     return math.fsum(math.log(b) - math.log(a) for a, b in intervals)
 
 
-def _quad_sum(f: Callable[[float], float], intervals: IntervalSet, quad_tol: float, what: str) -> float:
-    # imported here: scipy.integrate costs more start-up than the rest of the
-    # package, and only the quadrature-based measures need it
-    from scipy.integrate import IntegrationWarning, quad
+_MAX_PANELS = 200
 
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    # (node, weight) pairs on [-1, 1]; numpy.polynomial loads on first use,
+    # so start-up does not pay for it
+    return tuple(zip(*(g.tolist() for g in np.polynomial.legendre.leggauss(n))))
+
+
+def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(integral of f over [a, b], error estimate): the 20-point
+    Gauss-Legendre sum and its distance to the 10-point sum."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    coarse = half * sum(w * f(mid + half * t) for t, w in _gauss_legendre(10))
+    fine = half * sum(w * f(mid + half * t) for t, w in _gauss_legendre(20))
+    return fine, abs(fine - coarse)
+
+
+def _quad_sum(f: Callable[[float], float], intervals: IntervalSet, quad_tol: float, what: str) -> float:
+    """Sum of the integrals of f over the intervals.
+
+    Each interval is cut into panels, halving the one with the largest
+    estimate, until their summed estimate is below quad_tol * 1e-2 or not
+    finite, or _MAX_PANELS panels are used.  Raises QuadratureError when
+    the estimate summed over every interval exceeds quad_tol or the result
+    is not finite.
+    """
+    abs_tol = quad_tol * 1e-2
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        # non-convergence is reported as QuadratureError below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in intervals:
-            val, est = quad(f, a, b, epsabs=quad_tol * 1e-2, epsrel=1e-12, limit=200)
-            total += val
-            err += est
-    if err > quad_tol:
+    for a, b in intervals:
+        value, est = _panel(f, a, b)
+        panels = [(-est, a, b, value)]  # a heap, largest estimate first
+        while abs_tol < est < math.inf and len(panels) < _MAX_PANELS:
+            _, lo, hi, _ = heapq.heappop(panels)
+            mid = 0.5 * (lo + hi)
+            for left, right in ((lo, mid), (mid, hi)):
+                val, e = _panel(f, left, right)
+                heapq.heappush(panels, (-e, left, right, val))
+            value = sum(p[3] for p in panels)
+            est = -sum(p[0] for p in panels)
+        total += value
+        err += est
+    if not (err <= quad_tol and math.isfinite(total)):
         raise QuadratureError(f"{what} did not converge to quad_tol={quad_tol:g}", achieved=err)
     return total
 

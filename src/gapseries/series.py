@@ -90,7 +90,10 @@ def geometric_exponents(base: float, count: int, kind: str = "dirichlet") -> Exp
         raise ValueError("count must be positive")
     if base <= 1.0:
         raise ValueError("base must exceed 1")
-    vals = [0.0] + [float(base) ** n for n in range(1, count)]
+    try:
+        vals = [0.0] + [float(base) ** n for n in range(1, count)]
+    except OverflowError:
+        raise ValueError(f"series.base = {base:g}: base**{count - 1} overflows float64") from None
     return ExponentSequence(np.array(vals), kind)
 
 
@@ -369,7 +372,6 @@ class PhaseSearchOpts:
 
     grid_points: int = 4096
     phase_tol: float = 1e-10
-    y_window: float | None = None
     rel_tol: float = 1e-9
     delta: float = 1.0
 
@@ -511,7 +513,7 @@ def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want
         span = TWO_PI
         ys = np.linspace(0.0, span, opts.grid_points, endpoint=False)
     else:
-        span = opts.y_window if opts.y_window is not None else 10.0 * TWO_PI / spec.exponents.min_gap
+        span = 10.0 * TWO_PI / spec.exponents.min_gap
         ys = np.linspace(0.0, span, opts.grid_points)
     j, grid_best = _grid_extrema(weights, lam, ph, ys, sign)
 
@@ -558,8 +560,8 @@ def max_modulus(
     """sup_y |F(x+iy)| / mu(x,F), certified from below.
 
     For integral exponents the search covers one exact period [0, 2*pi);
-    otherwise a finite window is scanned and the result is flagged
-    window-approximate (the true supremum over all of R is not finitely
+    otherwise the window [0, 20*pi / min_gap] is scanned and the result is
+    flagged window-approximate (the true supremum over all of R is not finitely
     computable for incommensurable exponents).
 
     ``x`` may also be a 1-d array of abscissas.  The result is then a list

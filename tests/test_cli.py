@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,8 @@ class TestEveryConfigErrorExits1:
             (GAP, ("gap_power", "r_max"), INF, "gap_power.r_max"),
             (GAP, ("gap_power", "r_min"), "x", "gap_power.r_min"),
             (LEMMA, ("series", "base"), {}, "series.base"),
+            # escaped float ** as "(34, 'Numerical result out of range')"
+            (SWEEP, ("series", "base"), 1e12, "series.base"),
             # the series section and the seed
             (SWEEP, ("series", "coeffs", "jitter"), "x", "series.coeffs.jitter"),
             (GAP, ("series", "log_moduli", 0), "x", "series.log_moduli"),
@@ -274,6 +277,16 @@ def test_bad_leaf_never_escapes_main(leaf, value):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [CRIT, WITNESS])
+def test_huge_power_density_falls_back_without_warning(tmp_path, name):
+    # float64 ** returned inf with a RuntimeWarning instead of raising the
+    # OverflowError that selects the silent np.power fallback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, written = run_edit(tmp_path, name, ("h", "exponent"), 1e9)
+    assert code == 0 and err == "" and written
 
 
 class TestExitCodes:
@@ -568,8 +581,12 @@ class TestDetectionConsistency:
                 (float(r[xcol]), float(r[xcol]) + step) for r in rows if r[fcol] == "1"
             ]
             sets[step] = IntervalSet.from_pairs(pairs).coalesce()
-        d_coarse = sets[1.0].symmetric_difference(sets[0.5]).total_length
-        d_fine = sets[0.5].symmetric_difference(sets[0.25]).total_length
+
+        def sym_diff(a, b):
+            return a.difference(b).total_length + b.difference(a).total_length
+
+        d_coarse = sym_diff(sets[1.0], sets[0.5])
+        d_fine = sym_diff(sets[0.5], sets[0.25])
         assert d_fine <= d_coarse + 1e-9
 
 

@@ -1,9 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize_scalar
 
 from gapseries import (
     ExponentSequence,
@@ -327,6 +327,17 @@ def truncated_geometric(draw):
 kernel_cases = st.one_of(gap_polynomials(), truncated_geometric())
 
 
+def _zoomed_argmax(f, lo, hi, xatol=1e-14):
+    """argmax of a vectorised f on [lo, hi]: 33-point scans, each over the
+    two sample steps around the previous best, until a step is below xatol."""
+    while True:
+        ys = np.linspace(lo, hi, 33)
+        k = int(np.argmax(f(ys)))
+        if ys[1] - ys[0] <= xatol:
+            return ys[k]
+        lo, hi = ys[max(k - 1, 0)], ys[min(k + 1, 32)]
+
+
 def _grid_profile(spec, x, log_mu):
     """|F(x+iy)| / mu on the search grid, summed directly over every stored
     term; on these specs the terms past the certified prefix lie far below
@@ -413,21 +424,26 @@ class TestEnvelopeKernel:
                 def modulus(y):
                     return abs(np.sum(w * np.exp(1j * (spec.phases + np.asarray(y)[..., None] * lam)), axis=-1))
 
-                # dense scan around the reported abscissa, then Brent's method
-                # on the best sample's neighbourhood to 1e-14 in y
+                def exact_modulus(y):
+                    with mpmath.workdps(40):
+                        y = mpmath.mpf(float(y))
+                        terms = zip(w.tolist(), spec.phases.tolist(), lam.tolist())
+                        return float(abs(mpmath.fsum(wk * mpmath.expj(pk + y * lk) for wk, pk, lk in terms)))
+
+                # dense scan around the reported abscissa, then zoomed scans of
+                # the best sample's neighbourhood to 1e-14 in y; the float
+                # values the scans pick from are biased up by rounding, so the
+                # picked abscissas are evaluated in mpmath
                 ys = res.y_at + np.linspace(-step / 8, step / 8, 33)
                 best = ys[np.argmax(sign * modulus(ys))]
-                ref = minimize_scalar(
-                    lambda y: -sign * modulus(y), bounds=(best - step / 256, best + step / 256),
-                    method="bounded", options={"xatol": 1e-14},
-                )
+                ref = _zoomed_argmax(lambda y: sign * modulus(y), best - step / 256, best + step / 256)
                 # phase_tol away from the extremum, |F| is off by at most half its
                 # curvature (<= sum w lam^2) times phase_tol^2 at a maximum; a
                 # minimum may sit at a zero of F, where only the Lipschitz
                 # bound sum w lam holds
                 tol = KERNEL_OPTS.phase_tol
                 off = 0.5 * np.sum(w * lam**2) * tol**2 if sign > 0 else np.sum(w * lam) * tol
-                found = max(sign * abs(ref.fun), sign * modulus(best))
+                found = max(sign * exact_modulus(ref), sign * exact_modulus(best))
                 assert found - sign * res.value <= off + 4 * math.ulp(np.sum(w))
 
     @KERNEL_SETTINGS
