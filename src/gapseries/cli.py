@@ -224,14 +224,8 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> int:
     rows = []
 
     def emit(report):
-        # the dyadic checkpoints past the first term, and the last term
-        for c in sorted({*crit._dyadic_checkpoints(report.terms.size)[1:], report.terms.size - 1}):
-            sub = report.truncated(c + 1)
-            last_ratio = float(sub.block_ratios[-1]) if sub.block_ratios.size else math.nan
-            rows.append(
-                [report.name, "" if report.b is None else report.b, c + 1,
-                 float(sub.partial_sums[-1]), last_ratio, sub.verdict]
-            )
+        b = "" if report.b is None else report.b
+        rows.extend([report.name, b, *row] for row in report.checkpoints())
 
     emit(crit.criterion_gap(spec_exponents, n_terms))
     for b in cfg.b_grid:
@@ -268,20 +262,18 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
     }
     out.with_suffix(".series.json").write_text(json.dumps(series_dump, indent=2) + "\n")
 
-    gaps = ws.spec.exponents.gaps
-    exc_rows = [
-        [n, float(ws.switch_points[n]), float(ws.switch_points[n] + 1.0 / gaps[n - 1]), 1.0 / gaps[n - 1]]
-        for n in range(1, depth + 1)
-    ]
-    _write_csv(out.with_suffix(".exceptional.csv"), ["n", "a", "b", "length"], zip(*exc_rows))
+    left, width = (v[:depth] for v in ws.intervals)
+    _write_csv(
+        out.with_suffix(".exceptional.csv"),
+        ["n", "a", "b", "length"],
+        [np.arange(1, depth + 1), left, left + width, width],
+    )
 
     threshold = 1.0 + ws.excess
     verify_rows = []
-    for n in range(1, depth + 1):
-        a = float(ws.switch_points[n])
-        width = 1.0 / gaps[n - 1]
+    for n, (a, w) in enumerate(zip(left.tolist(), width.tolist()), 1):
         for t, label in ((0.0, "left"), (0.5, "mid"), (1.0, "right")):
-            x = a + t * width
+            x = a + t * w
             ratio = cons.witness_ratio(ws, x, cfg.tolerances.rel_tol)
             verify_rows.append([n, label, x, ratio, threshold, int(ratio >= threshold - 1e-9)])
     _write_csv(

@@ -315,6 +315,13 @@ class WitnessSeries:
     def n_terms(self) -> int:
         return len(self.spec) - 1
 
+    @property
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left ends switch_n and widths 1/gap_n of the exceptional
+        intervals [switch_n, switch_n + 1/gap_n]; interval n >= 1 sits at
+        position n - 1 of both arrays."""
+        return self.switch_points[1:], 1.0 / self.spec.exponents.gaps
+
 
 def build_witness_series(
     exponents: ExponentSequence,
@@ -384,11 +391,8 @@ def witness_exceptional_set(ws: WitnessSeries, depth: int) -> IntervalSet:
     when a width 1/gap_n is lost in the rounding of its switch point."""
     if depth < 0 or depth > ws.n_terms:
         raise ValueError(f"depth must lie in [0, {ws.n_terms}]")
-    gaps = ws.spec.exponents.gaps
-    pairs = [
-        (float(ws.switch_points[n]), float(ws.switch_points[n] + 1.0 / gaps[n - 1]))
-        for n in range(1, depth + 1)
-    ]
+    left, width = (v[:depth].tolist() for v in ws.intervals)
+    pairs = [(a, a + w) for a, w in zip(left, width)]
     try:
         return IntervalSet.from_pairs(pairs, include_right=True)
     except ValueError as exc:
@@ -401,12 +405,8 @@ def witness_ratio(ws: WitnessSeries, x: float, rel_tol: float = 1e-9) -> float:
     On the witness exceptional set the ratio is at least 1 + excess up to
     rounding; outside the set a warning is emitted and no bound applies.
     """
-    gaps = ws.spec.exponents.gaps
-    inside = any(
-        ws.switch_points[n] <= x <= ws.switch_points[n] + 1.0 / gaps[n - 1]
-        for n in range(1, ws.n_terms + 1)
-    )
-    if not inside:
+    left, width = ws.intervals
+    if not np.any((left <= x) & (x <= left + width)):
         warnings.warn(
             f"x={x!r} lies outside the witness exceptional set; the excess "
             "bound does not apply",
@@ -428,12 +428,7 @@ def witness_measure_partials(
     """
     if depth < 1 or depth > ws.n_terms:
         raise ValueError(f"depth must lie in [1, {ws.n_terms}]")
-    gaps = ws.spec.exponents.gaps
-    inc = np.empty(depth)
-    low = np.empty(depth)
-    for n in range(1, depth + 1):
-        a = float(ws.switch_points[n])
-        width = 1.0 / gaps[n - 1]
-        inc[n - 1] = h.value(a + width) - h.value(a)
-        low[n - 1] = h.derivative(a) * width
+    left, width = (v[:depth].tolist() for v in ws.intervals)
+    inc = [h.value(a + w) - h.value(a) for a, w in zip(left, width)]
+    low = [h.derivative(a) * w for a, w in zip(left, width)]
     return np.cumsum(inc), np.cumsum(low)

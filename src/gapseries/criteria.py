@@ -40,45 +40,42 @@ class CriterionReport:
     def total(self) -> float:
         return float(self.partial_sums[-1]) if self.partial_sums.size else 0.0
 
-    def truncated(self, n_terms: int) -> "CriterionReport":
-        """The report of the first ``n_terms`` terms, equal to
-        ``make_report(name, terms[:n_terms], b)``: partial sums are
-        sequential and each block ratio depends only on its own three
-        checkpoints, so both are prefixes of the stored arrays."""
-        terms = self.terms[:n_terms]
-        ratios = self.block_ratios[: max(len(_dyadic_checkpoints(terms.size)) - 2, 0)]
-        return CriterionReport(self.name, terms, self.partial_sums[: terms.size], ratios, _verdict(ratios), self.b)
+    def checkpoints(self) -> list[tuple[int, float, float, str]]:
+        """Rows ``(n_terms, partial_sum, block_ratio, verdict)`` of the
+        report of the first n_terms terms, for n_terms = 2, 4, 8, ... and
+        for all the terms (a single term included).
+
+        Each row equals ``make_report(name, terms[:n_terms], b)``: its
+        total, its last block ratio (nan when it has none) and its verdict.
+        Partial sums are sequential and each block ratio depends only on
+        its own two blocks, so both are prefixes of the stored arrays.
+        """
+        n = self.terms.size
+        rows = []
+        for n_terms in sorted({*(2**j for j in range(1, n.bit_length())), n} - {0}):
+            ratios = self.block_ratios[: max(n_terms.bit_length() - 2, 0)]
+            last = float(ratios[-1]) if ratios.size else math.nan
+            rows.append((n_terms, float(self.partial_sums[n_terms - 1]), last, _verdict(ratios)))
+        return rows
 
 
-def _dyadic_checkpoints(n: int) -> list[int]:
-    # partial-sum indices 0, 1, 3, 7, 15, ... up to n-1
-    out = [0]
-    j = 1
-    while 2**j - 1 <= n - 1:
-        out.append(2**j - 1)
-        j += 1
-    return out
+def _block_ratios(terms: np.ndarray) -> np.ndarray:
+    """Ratios of consecutive dyadic blocks, block j >= 1 being the sum of
+    terms[2^(j-1) : 2^j] over complete blocks only (term 0 is in none).
 
-
-def _block_ratios(partial: np.ndarray) -> np.ndarray:
-    cps = _dyadic_checkpoints(partial.size)
-    if len(cps) < 3:
+    A ratio is 0 where the later block is 0, inf where it is inf or the
+    earlier block is 0, and their quotient otherwise.
+    """
+    n_blocks = max(terms.size.bit_length() - 1, 0)
+    if n_blocks < 2:
         return np.empty(0)
-    sums = partial[cps]
-    with np.errstate(invalid="ignore"):
-        increments = np.diff(sums)
-    ratios = []
-    for prev, nxt, total in zip(increments[:-1], increments[1:], sums[2:]):
-        if total == math.inf:
-            # the block overflowed: inf - inf is nan, but the sum diverged
-            ratios.append(math.inf)
-        elif nxt == 0.0:
-            ratios.append(0.0)
-        elif prev == 0.0:
-            ratios.append(math.inf)
-        else:
-            ratios.append(nxt / prev)
-    return np.array(ratios)
+    blocks = np.add.reduceat(terms[: 2**n_blocks], 2 ** np.arange(n_blocks))
+    prev, nxt = blocks[:-1], blocks[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = nxt / prev
+    ratios[(nxt == math.inf) | (prev == 0.0)] = math.inf
+    ratios[nxt == 0.0] = 0.0
+    return ratios
 
 
 def _verdict(ratios: np.ndarray) -> str:
@@ -96,9 +93,8 @@ def make_report(name: str, terms, b: float | None = None) -> CriterionReport:
     terms = np.asarray(terms, dtype=float)
     if terms.size and terms.min() < 0:
         raise ValueError("criterion terms must be non-negative")
-    partial = np.cumsum(terms)
-    ratios = _block_ratios(partial)
-    return CriterionReport(name, terms, partial, ratios, _verdict(ratios), b)
+    ratios = _block_ratios(terms)
+    return CriterionReport(name, terms, np.cumsum(terms), ratios, _verdict(ratios), b)
 
 
 def _gaps(exponents: ExponentSequence, n_terms: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -186,16 +186,14 @@ def _argmax_last(values: np.ndarray) -> int:
     return int(values.size - 1 - np.argmax(values[::-1]))
 
 
-def log_maximal_term(
-    spec: SeriesSpec, x: float, guard_margin: int = DEFAULT_GUARD_MARGIN
-) -> MaximalTerm:
+def log_maximal_term(spec: SeriesSpec, x: float) -> MaximalTerm:
     """Largest term at abscissa x: max_n (ln|a_n| + x*lambda_n).
 
     Returns the log of the maximal term together with the central index,
     the largest index attaining the maximum.
 
     Raises HorizonExceeded when the spec is a truncation and the argmax
-    lies within ``guard_margin`` of the stored horizon: the prefix then
+    lies within DEFAULT_GUARD_MARGIN of the stored horizon: the prefix then
     cannot certify that the true maximum is among the stored terms.
     """
     if not math.isfinite(x):
@@ -203,10 +201,10 @@ def log_maximal_term(
     values = spec.log_moduli + x * spec.exponents.values
     idx = _argmax_last(values)
     n = len(spec)
-    if not spec.complete and n > guard_margin and idx > n - guard_margin:
+    if not spec.complete and n > DEFAULT_GUARD_MARGIN and idx > n - DEFAULT_GUARD_MARGIN:
         raise HorizonExceeded(
             f"maximal term at index {idx} of {n} stored terms is within "
-            f"guard margin {guard_margin} of the horizon"
+            f"guard margin {DEFAULT_GUARD_MARGIN} of the horizon"
         )
     return MaximalTerm(float(values[idx]), idx)
 
@@ -297,7 +295,6 @@ def _certified_prefix(
     x: float,
     rel_tol: float,
     delta: float,
-    guard_margin: int,
 ) -> tuple[np.ndarray, MaximalTerm, int]:
     """Scaled term magnitudes exp(ln|a_n| + x*lambda_n - ln mu) for a
     prefix whose unsummed remainder is certified below rel_tol.
@@ -313,13 +310,13 @@ def _certified_prefix(
         raise InvalidTolerance(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    top = log_maximal_term(spec, x, guard_margin)
+    top = log_maximal_term(spec, x)
     lam = spec.exponents.values
     scaled = spec.log_moduli + x * lam - top.log_value
     if spec.complete or len(spec) < 2:
         return np.exp(scaled), top, len(spec) - 1
 
-    shifted = log_maximal_term(spec, x + delta, guard_margin)
+    shifted = log_maximal_term(spec, x + delta)
     gmin = spec.exponents.min_gap
     log_geom = math.log1p(-math.exp(-delta * gmin))
     log_tail = (shifted.log_value - top.log_value) - delta * lam - log_geom
@@ -340,10 +337,9 @@ def evaluate(
     y: float,
     rel_tol: float = 1e-9,
     delta: float = 1.0,
-    guard_margin: int = DEFAULT_GUARD_MARGIN,
 ) -> EvalResult:
     """F(x+iy) / mu(x, F) with certified truncation error below rel_tol."""
-    w, top, stop = _certified_prefix(spec, x, rel_tol, delta, guard_margin)
+    w, top, stop = _certified_prefix(spec, x, rel_tol, delta)
     ang = spec.phases[: stop + 1] + y * spec.exponents.values[: stop + 1]
     s = np.sum(w * np.exp(1j * ang))
     return EvalResult(float(s.real), float(s.imag), top.log_value)
@@ -354,10 +350,9 @@ def sum_modulus(
     x: float,
     rel_tol: float = 1e-9,
     delta: float = 1.0,
-    guard_margin: int = DEFAULT_GUARD_MARGIN,
 ) -> float:
     """Upper envelope sum |a_n| e^{x lambda_n} / mu(x, F); always >= 1."""
-    w, _, _ = _certified_prefix(spec, x, rel_tol, delta, guard_margin)
+    w, _, _ = _certified_prefix(spec, x, rel_tol, delta)
     return float(np.sum(w))
 
 
@@ -489,7 +484,7 @@ def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want
     live, prefixes, log_mus = [], [], []
     for x in xs:
         try:
-            w, top, stop = _certified_prefix(spec, float(x), opts.rel_tol, opts.delta, DEFAULT_GUARD_MARGIN)
+            w, top, stop = _certified_prefix(spec, float(x), opts.rel_tol, opts.delta)
         except GapSeriesError as exc:
             results.append(exc)
             continue

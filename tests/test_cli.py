@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gapseries.cli
 from gapseries import build_damping_gadget, build_witness_series, domination_margin, geometric_exponents, power_exponents, witness_exceptional_set
 from gapseries.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from gapseries.config import load_config, series_from_config
@@ -493,6 +495,28 @@ class TestCriteria:
         gap_final = next(r for r in rows if r[cond] == "gap" and r[nt] == "30")
         assert float(gap_final[header.index("partial_sum")]) == pytest.approx(1.5, abs=1e-8)
         assert gap_final[header.index("verdict")] == "converging"
+
+
+def test_cli_uses_no_private_library_name():
+    """The CLI only formats: a rule it needs from another gapseries module
+    must be public there, not re-derived from that module's private parts."""
+    tree = ast.parse(Path(gapseries.cli.__file__).read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gapseries")):
+            private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            if node.module in (None, "gapseries"):  # from . import criteria as crit
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names if a.name.startswith("gapseries"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):  # gapseries.criteria._name
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                private.append(ast.unparse(node))
+    assert modules and not private
 
 
 class TestConstructAndLemma:

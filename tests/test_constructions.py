@@ -366,6 +366,15 @@ class TestWitnessSeries:
 
 
 class TestWitnessExceptionalSet:
+    def test_intervals_are_switch_points_and_reciprocal_gaps(self):
+        ws = build_witness_series(GEOM31, lambda t: t, 1.0, 28)
+        left, width = ws.intervals
+        gaps = GEOM31.gaps
+        assert left.size == width.size == ws.n_terms
+        for n in range(1, ws.n_terms + 1):
+            assert left[n - 1] == ws.switch_points[n]
+            assert width[n - 1] == 1.0 / gaps[n - 1]
+
     def test_single_interval(self):
         ws = build_witness_series(power_exponents(1.0, 1.0, 12), lambda t: t, 1.0, 10)
         e = witness_exceptional_set(ws, 1)
@@ -422,6 +431,22 @@ class TestWitnessRatio:
         ws = build_witness_series(GEOM31, lambda t: t, 1.0, 25)
         with pytest.warns(OutsideExceptionalSetWarning):
             witness_ratio(ws, 3.0)  # between the seed block and the next interval
+
+    def test_warns_exactly_outside_the_closed_intervals(self):
+        ws = build_witness_series(GEOM31, lambda t: t, 1.0, 25)
+        gaps = GEOM31.gaps
+        closed = [(ws.switch_points[n], ws.switch_points[n] + 1.0 / gaps[n - 1]) for n in range(1, 26)]
+        # both ends of the first 15 intervals and their float neighbours
+        points = [
+            float(x) for a, b in closed[:15]
+            for end in (a, b) for x in (np.nextafter(end, -math.inf), end, np.nextafter(end, math.inf))
+        ]
+        for x in points:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                witness_ratio(ws, x)
+            warned = any(issubclass(w.category, OutsideExceptionalSetWarning) for w in caught)
+            assert warned == (not any(a <= x <= b for a, b in closed)), x
 
 
 class TestWitnessMeasurePartials:

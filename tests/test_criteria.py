@@ -33,6 +33,9 @@ DENSE = power_exponents(1.0, 1.0, 1001)           # 0, 1, 2, ...
 SQUARES = ExponentSequence(np.arange(1001.0) ** 2)
 POW2 = ExponentSequence(2.0 ** np.arange(31), "gap-power")   # 1, 2, 4, ...
 POW2_LONG = ExponentSequence(2.0 ** np.arange(65), "gap-power")
+#: criterion terms with the edge values: zero, inf, the smallest subnormal
+#: and a float whose sums overflow
+TERM_LISTS = st.lists(st.sampled_from([0.0, math.inf, 5e-324, 1e308]) | st.floats(0.0, 1e3), max_size=70)
 
 
 class TestVerdicts:
@@ -68,16 +71,65 @@ class TestVerdicts:
         assert make_report("x", np.zeros(64)).verdict == "converging"
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.sampled_from([0.0, math.inf, 5e-324, 1e308]) | st.floats(0.0, 1e3), max_size=70),
-        st.integers(0, 75),
-    )
-    def test_truncated_equals_report_of_prefix(self, terms, n):
+    @given(TERM_LISTS)
+    def test_checkpoints_equal_reports_of_prefixes(self, terms):
+        size = len(terms)
         with np.errstate(over="ignore"):  # sums of 1e308 terms overflow to inf on purpose
-            got, want = make_report("x", terms, 0.5).truncated(n), make_report("x", terms[:n], 0.5)
-        for field in ("terms", "partial_sums", "block_ratios"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert (got.name, got.b, got.verdict) == (want.name, want.b, want.verdict)
+            rows = make_report("x", terms, 0.5).checkpoints()
+            prefixes = [make_report("x", terms[:n], 0.5) for n, *_ in rows]
+        # n_terms = 2, 4, 8, ... and the last term, a single term included
+        assert [n for n, *_ in rows] == [n for n in range(1, size + 1) if n == size or (n > 1 and n & (n - 1) == 0)]
+        for (n, total, ratio, verdict), want in zip(rows, prefixes):
+            last = want.block_ratios[-1] if want.block_ratios.size else math.nan
+            assert np.float64(total).tobytes() == np.float64(want.total).tobytes(), n
+            assert np.float64(ratio).tobytes() == np.float64(last).tobytes(), n
+            assert verdict == want.verdict, n
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(TERM_LISTS)
+    def test_block_ratios_follow_the_block_rule(self, terms):
+        with np.errstate(over="ignore"):
+            got = make_report("x", terms).block_ratios
+        # reference: block j >= 1 sums terms[2^(j-1) : 2^j] one by one; term 0 is in no block
+        blocks = [sum(terms[2 ** (j - 1) : 2**j], 0.0) for j in range(1, len(terms).bit_length())]
+        want = []
+        for prev, nxt in zip(blocks, blocks[1:]):
+            if nxt == 0.0:
+                want.append(0.0)
+            elif nxt == math.inf or prev == 0.0:
+                want.append(math.inf)
+            else:
+                want.append(nxt / prev)
+        assert got.size == len(want)
+        # a block of m non-negative terms rounds by at most (m - 1) eps in any
+        # summation order, so a ratio of two such blocks by at most 2m eps
+        rtol = 2 * 2 ** len(terms).bit_length() * np.finfo(float).eps
+        for g, w in zip(got.tolist(), want):
+            assert g == w if w in (0.0, math.inf) else math.isclose(g, w, rel_tol=rtol), (g, w)
+
+
+class TestBlockOracles:
+    def test_cubic_exponents_keep_the_tail_digits(self):
+        # terms 1/((1 + n^3 + 1/gap) gap) ~ n^-5 / 3, so each dyadic block is
+        # about 2^-4 of the one before; block differences of converged partial
+        # sums read 0 here
+        cubes = ExponentSequence(np.arange(20001.0) ** 3, "gap-power")
+        rep = criterion_inverse_shifted(cubes, log_shifted(), lambda t: t, 1.0, 20000)
+        assert np.allclose(rep.block_ratios[-3:], 1.0 / 16.0, rtol=0.05)
+        assert rep.verdict == "converging"
+
+    @pytest.mark.parametrize("make", [
+        lambda h: criterion_scaled_inverse(GEOM, h, lambda t: t, 0.5, 30),
+        lambda h: criterion_scaled_inverse(GEOM, h, lambda t: t, 1.0, 30),
+        lambda h: criterion_scaled_inverse(GEOM, h, lambda t: t, 2.0, 30),
+        lambda h: criterion_plain_inverse(GEOM, h, lambda t: t, 30),
+    ], ids=["scaled_inverse-0.5", "scaled_inverse-1", "scaled_inverse-2", "plain_inverse"])
+    def test_infinite_first_term_does_not_decide(self, make):
+        # h = x^0.5 has h'(0) = inf, so term 0 and every partial sum are inf;
+        # the later terms decay like 2^(-1.5 n), and term 0 is in no block
+        rep = make(power(0.5))
+        assert rep.terms[0] == math.inf and np.all(np.isfinite(rep.terms[1:]))
+        assert rep.verdict == "converging"
 
 
 class TestReductionToGapCriterion:

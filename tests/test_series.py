@@ -414,7 +414,8 @@ class TestEnvelopeKernel:
     def test_refinement_matches_an_independent_search(self, case):
         spec, xs = case
         lam = spec.exponents.values
-        step = (TWO_PI if spec.exponents.is_integral() else 10.0 * TWO_PI / spec.exponents.min_gap) / 256
+        span = TWO_PI if spec.exponents.is_integral() else 10.0 * TWO_PI / spec.exponents.min_gap
+        step = span / 256
         for fn, sign in ((max_modulus, 1.0), (min_modulus, -1.0)):
             for x, res in zip(xs, fn(spec, xs, KERNEL_OPTS)):
                 if isinstance(res, GapSeriesError):
@@ -443,8 +444,17 @@ class TestEnvelopeKernel:
                 # bound sum w lam holds
                 tol = KERNEL_OPTS.phase_tol
                 off = 0.5 * np.sum(w * lam**2) * tol**2 if sign > 0 else np.sum(w * lam) * tol
+                # res.value is |F| evaluated in float64 at some y of the search
+                # window, so |y| <= span.  The phase ph_k + y*lam_k rounds twice
+                # (product and sum, half an ulp each), which moves it by at most
+                # eps * (|ph_k| + |y| lam_k) and term k by w_k times that.  The
+                # complex exponential, the product with w_k, the n - 1 additions
+                # (a matrix product on the grid path) and the final modulus add
+                # at most (n + 4) eps sum(w).
+                phase = EPS * np.sum(w * (np.abs(spec.phases) + span * lam))
+                summation = (lam.size + 4) * EPS * np.sum(w)
                 found = max(sign * exact_modulus(ref), sign * exact_modulus(best))
-                assert found - sign * res.value <= off + 4 * math.ulp(np.sum(w))
+                assert found - sign * res.value <= off + phase + summation
 
     @KERNEL_SETTINGS
     @given(truncated_geometric(), st.integers(0, 6))
