@@ -28,7 +28,7 @@ from .errors import (
     TailNotCertified,
 )
 from .measure import IntervalSet, MonotoneFn, density_measure, h_measure, h_log_measure, log_measure
-from .series import PhaseSearchOpts, SeriesSpec, log_maximal_term, max_modulus, min_modulus, sum_modulus
+from .series import REL_TOL, SeriesSpec, log_maximal_term, max_modulus, min_modulus, sum_modulus
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -143,7 +143,7 @@ def _detected_set(flagged: list[tuple[bool, float]], step: float) -> IntervalSet
     return IntervalSet.from_pairs(pairs).coalesce()
 
 
-def _measure_footers(detected: IntervalSet, h: MonotoneFn, quad_tol: float) -> list[list]:
+def _measure_footers(detected: IntervalSet, h: MonotoneFn) -> list[list]:
     def guarded(fn):
         try:
             return fn()
@@ -154,7 +154,7 @@ def _measure_footers(detected: IntervalSet, h: MonotoneFn, quad_tol: float) -> l
         ["#measure", "lebesgue", detected.total_length],
         ["#measure", "log", guarded(lambda: log_measure(detected))],
         ["#measure", "h", guarded(lambda: h_measure(h, detected))],
-        ["#measure", "h_log", guarded(lambda: h_log_measure(h, detected, quad_tol))],
+        ["#measure", "h_log", guarded(lambda: h_log_measure(h, detected))],
     ]
 
 
@@ -166,12 +166,8 @@ def _envelope_rows(spec: SeriesSpec, cfg: RunConfig, args: list[float], xs: list
     the radius r with x = ln r.  Every abscissa shares one batched
     max_modulus and one batched min_modulus call.
     """
-    tol = cfg.tolerances
-    opts = PhaseSearchOpts(
-        grid_points=tol.grid_points, phase_tol=tol.phase_tol, rel_tol=tol.rel_tol, delta=tol.delta
-    )
-    maxima = max_modulus(spec, xs, opts)
-    minima = min_modulus(spec, xs, opts)
+    maxima = max_modulus(spec, xs)
+    minima = min_modulus(spec, xs)
     rows = []
     flagged = []
     for arg, x, mx, mn in zip(args, xs, maxima, minima):
@@ -180,14 +176,14 @@ def _envelope_rows(spec: SeriesSpec, cfg: RunConfig, args: list[float], xs: list
             for res in (mx, mn):
                 if isinstance(res, GapSeriesError):
                     raise res
-            total = sum_modulus(spec, x, tol.rel_tol, tol.delta)
+            total = sum_modulus(spec, x)
         except GapSeriesError as exc:
             rows.append([arg, math.nan, -1, math.nan, math.nan, math.nan, math.nan, math.nan, 0, type(exc).__name__])
             flagged.append((False, arg))
             continue
         ratio_mu = mx.value - 1.0
         # a minimum below the evaluation's own error bar is numerically zero
-        ratio_m = math.inf if mn.value <= tol.rel_tol else mx.value / mn.value - 1.0
+        ratio_m = math.inf if mn.value <= REL_TOL else mx.value / mn.value - 1.0
         flag = ratio_mu > cfg.beta or ratio_m > cfg.beta
         rows.append([arg, top.log_value, top.index, mx.value, mn.value, total, ratio_mu, ratio_m, int(flag), ""])
         flagged.append((flag, arg))
@@ -208,7 +204,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     xs = np.arange(sweep.x_min, sweep.x_max + sweep.step * 0.5, sweep.step).tolist()
     rows, flagged = _envelope_rows(spec, cfg, xs, xs)
     detected = _detected_set(flagged, sweep.step)
-    _write_csv(out, SWEEP_HEADER, zip(*rows), _measure_footers(detected, cfg.h, cfg.tolerances.quad_tol))
+    _write_csv(out, SWEEP_HEADER, zip(*rows), _measure_footers(detected, cfg.h))
     return EXIT_OK
 
 
@@ -274,8 +270,9 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
     for n, (a, w) in enumerate(zip(left.tolist(), width.tolist()), 1):
         for t, label in ((0.0, "left"), (0.5, "mid"), (1.0, "right")):
             x = a + t * w
-            ratio = cons.witness_ratio(ws, x, cfg.tolerances.rel_tol)
-            verify_rows.append([n, label, x, ratio, threshold, int(ratio >= threshold - 1e-9)])
+            ratio = cons.witness_ratio(ws, x)
+            # the ratio's certified truncation error is below REL_TOL
+            verify_rows.append([n, label, x, ratio, threshold, int(ratio >= threshold - REL_TOL)])
     _write_csv(
         out.with_suffix(".verify.csv"),
         ["n", "point", "x", "ratio", "threshold", "pass"],
@@ -315,7 +312,7 @@ def cmd_lemma1(cfg: RunConfig, out: Path) -> int:
     margin = np.empty(n_q * n_idx.size)
     tolerance = np.empty(n_q * n_idx.size)
     for block, q in enumerate(section.q_values):
-        gadget = cons.build_damping_gadget(spec.exponents, q, n_terms, cfg.tolerances.tail_tol)
+        gadget = cons.build_damping_gadget(spec.exponents, q, n_terms)
         rows = slice(block * n_idx.size, (block + 1) * n_idx.size)
         margin[rows] = cons.domination_margin(gadget, n_idx, k_idx)
         tolerance[rows] = gadget.inner_tail_error * distance
@@ -340,7 +337,6 @@ def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
     section = cfg.gap_power
     rs = np.linspace(section.r_min, section.r_max, section.r_points).tolist()
     xs = [math.log(r) for r in rs]
-    tol = cfg.tolerances
     rows, flagged_pairs = _envelope_rows(spec, cfg, rs, xs)
     for row, x in zip(rows, xs):
         # growth check against phi, before the error column; empty on error rows
@@ -348,13 +344,13 @@ def cmd_gap_power(cfg: RunConfig, out: Path) -> int:
 
     r_step = rs[1] - rs[0]
     detected = _detected_set(flagged_pairs, r_step)
-    footers = _measure_footers(detected, cfg.h, tol.quad_tol)
+    footers = _measure_footers(detected, cfg.h)
     if detected:
         try:
             image = detected.log_image()
             footers.append(
                 ["#measure", "h_image",
-                 density_measure(lambda t: cfg.h.derivative(math.exp(t)), image, tol.quad_tol)]
+                 density_measure(lambda t: cfg.h.derivative(math.exp(t)), image)]
             )
         except (DomainError, QuadratureError):
             footers.append(["#measure", "h_image", math.nan])

@@ -24,10 +24,10 @@ from .measure import _BUILTINS, MonotoneFn, builtin, identity
 from .series import _KINDS, ExponentSequence, SeriesSpec, geometric_exponents, power_exponents
 
 #: size caps, each 10x or more the largest a curated config, benchmark
-#: workload or test uses: a larger table exits 1 instead of exhausting memory
-MAX_GRID_POINTS = 1 << 16
-MAX_POINTS = 100_000
-MAX_GRID_PRODUCT = 1 << 24
+#: workload or test uses: a larger table exits 1 instead of exhausting memory.
+#: MAX_POINTS bounds the abscissas of a sweep or gap-power table, each of
+#: which gets a 4096-point phase search
+MAX_POINTS = 4096
 MAX_SERIES_COUNT = 1_000_000
 MAX_LEMMA_ROWS = 1_000_000
 
@@ -76,26 +76,6 @@ def function_from_spec(spec: dict, where: str = "function") -> MonotoneFn:
         return builtin(name, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    rel_tol: float = 1e-9
-    quad_tol: float = 1e-8
-    phase_tol: float = 1e-10
-    tail_tol: float = 1e-8
-    grid_points: int = 4096
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ConfigError(f"tolerances.rel_tol must lie in (0, 1), got {self.rel_tol}")
-        _positive(
-            "tolerances", quad_tol=self.quad_tol, phase_tol=self.phase_tol, tail_tol=self.tail_tol, delta=self.delta
-        )
-        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
-            # the phase search needs a grid step ys[1] - ys[0]
-            raise ConfigError(f"tolerances.grid_points must lie in [2, {MAX_GRID_POINTS}], got {self.grid_points}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +197,6 @@ class RunConfig:
     sweep: Sweep | None = None
     beta: float = 0.3
     b_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 10.0)
-    tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 0
     output: str | None = None
     criteria: Criteria = field(default_factory=Criteria)
@@ -231,12 +210,6 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output must be a string, got {self.output!r}")
-        points = {"sweep": self.sweep and self.sweep.points, "gap_power": self.gap_power and self.gap_power.r_points}
-        for where, n in points.items():
-            if n and n * self.tolerances.grid_points > MAX_GRID_PRODUCT:
-                raise ConfigError(
-                    f"{where}: {n:.6g} points times tolerances.grid_points exceed the cap of {MAX_GRID_PRODUCT}"
-                )
 
 
 def _section(cls, table: dict, where: str):
@@ -276,7 +249,7 @@ _CASTS = {
     "MonotoneFn": function_from_spec,
     **{
         cls.__name__: partial(_section, cls)
-        for cls in (Tolerances, Sweep, Criteria, Construct, Lemma, GapPower, Coeffs, Series)
+        for cls in (Sweep, Criteria, Construct, Lemma, GapPower, Coeffs, Series)
     },
 }
 

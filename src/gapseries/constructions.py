@@ -28,6 +28,7 @@ from .criteria import criterion_inverse_shifted
 from .errors import HorizonExceeded, MonotoneViolation, OutsideExceptionalSetWarning, TailNotCertified
 from .measure import IntervalSet, MonotoneFn
 from .series import (
+    REL_TOL,
     CentralIndexTable,
     ExponentSequence,
     SeriesSpec,
@@ -261,13 +262,7 @@ def residual_threshold(q: float) -> float:
     return 2.0 * math.exp(-q) / (1.0 - math.exp(-q))
 
 
-def leading_term_residual(
-    spec: SeriesSpec,
-    x: float,
-    y_values,
-    rel_tol: float = 1e-9,
-    delta: float = 1.0,
-) -> float:
+def leading_term_residual(spec: SeriesSpec, x: float, y_values, rel_tol: float = REL_TOL) -> float:
     """Worst |F(x+iy) - central term| / mu(x, F) over the sampled phases.
 
     When x lies outside the transition set of a damping gadget for the
@@ -278,7 +273,7 @@ def leading_term_residual(
     top = log_maximal_term(spec, x)
     worst = 0.0
     for y in np.asarray(y_values, dtype=float):
-        res = evaluate(spec, x, float(y), rel_tol, delta)
+        res = evaluate(spec, x, float(y), rel_tol)
         lead = term_value(spec, top.index, x, float(y))
         lead_c = math.exp(lead.log_magnitude - top.log_value) * complex(
             math.cos(lead.phase), math.sin(lead.phase)
@@ -399,7 +394,7 @@ def witness_exceptional_set(ws: WitnessSeries, depth: int) -> IntervalSet:
         raise HorizonExceeded(f"a witness interval is below float64 resolution: {exc}") from exc
 
 
-def witness_ratio(ws: WitnessSeries, x: float, rel_tol: float = 1e-9) -> float:
+def witness_ratio(ws: WitnessSeries, x: float, rel_tol: float = REL_TOL) -> float:
     """F(x) / mu(x, F) on the real axis (all coefficients are positive).
 
     On the witness exceptional set the ratio is at least 1 + excess up to

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .measure import MonotoneFn
-from .series import SeriesSpec, ExponentSequence, log_maximal_term, max_modulus, sum_modulus, PhaseSearchOpts
+from .series import SeriesSpec, ExponentSequence, log_maximal_term, max_modulus, sum_modulus
 
 #: dyadic block increments must shrink below this ratio to call convergence
 CONVERGING_BLOCK_RATIO = 0.9
@@ -272,8 +272,8 @@ class LowerOrderEstimate:
 
     ``lower`` uses the phase-search maximum (a lower bound for M),
     ``upper`` the modulus-envelope sum (an upper bound).  Both take the
-    minimum over the tail of the grid, a heuristic liminf stand-in, and
-    are estimates only.
+    minimum over the points from index len(r_grid) // 2 on, a heuristic
+    liminf stand-in, and are estimates only.
     """
 
     lower: float
@@ -284,19 +284,14 @@ class LowerOrderEstimate:
     per_point_upper: np.ndarray
 
 
-def estimate_lower_order(
-    spec: SeriesSpec,
-    r_grid,
-    opts: PhaseSearchOpts | None = None,
-    tail_fraction: float = 0.5,
-) -> LowerOrderEstimate:
-    """Estimate the lower order of a gap power series on an r-grid."""
+def estimate_lower_order(spec: SeriesSpec, r_grid) -> LowerOrderEstimate:
+    """Estimate the lower order of a gap power series on an r-grid with
+    the default phase search."""
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 2 or not np.all(np.diff(r_grid) > 0):
         raise ValueError("r_grid must be increasing with at least two points")
     if r_grid[0] <= 1.0:
         raise ValueError("r_grid must start above 1")
-    opts = opts or PhaseSearchOpts()
 
     def loglog_over_logr(log_m: float, r: float) -> float:
         return math.log(log_m) / math.log(r) if log_m > 0 else -math.inf
@@ -305,12 +300,12 @@ def estimate_lower_order(
     up = np.empty(r_grid.size)
     for i, r in enumerate(r_grid):
         x = math.log(r)
-        m = max_modulus(spec, x, opts)
+        m = max_modulus(spec, x)
         log_m_lower = m.log_mu + math.log(m.value) if m.value > 0 else -math.inf
         low[i] = loglog_over_logr(log_m_lower, r)
-        s = sum_modulus(spec, x, opts.rel_tol, opts.delta)
+        s = sum_modulus(spec, x)
         up[i] = loglog_over_logr(m.log_mu + math.log(s), r)
-    tail_start = int(r_grid.size * (1.0 - tail_fraction))
+    tail_start = r_grid.size // 2
     lower = float(np.min(low[tail_start:]))
     upper = float(np.min(up[tail_start:]))
     return LowerOrderEstimate(lower, upper, lower > 0.0, r_grid, low, up)

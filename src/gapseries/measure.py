@@ -25,6 +25,15 @@ import numpy as np
 
 from .errors import BracketError, DomainError, QuadratureError
 
+#: tolerance of ``MonotoneFn.inv`` when a handle has no explicit inverse
+_INV_TOL = 1e-12
+#: doublings of the upper bracket, then bisection steps, of numeric_inverse
+_MAX_DOUBLINGS = 200
+_MAX_BISECTIONS = 500
+#: random pairs drawn by check_class_tag, from a generator with this seed
+_CLASS_TAG_SAMPLES = 100
+_CLASS_TAG_SEED = 0
+
 
 @dataclass(frozen=True)
 class MonotoneFn:
@@ -48,10 +57,10 @@ class MonotoneFn:
     def __call__(self, x: float) -> float:
         return self.value(x)
 
-    def inv(self, target: float, tol: float = 1e-12) -> float:
+    def inv(self, target: float) -> float:
         if self.inverse is not None:
             return self.inverse(target)
-        return numeric_inverse(self, target, tol)
+        return numeric_inverse(self, target, _INV_TOL)
 
 
 def _np_exp(v: float) -> float:
@@ -188,26 +197,18 @@ def builtin(name: str, **params) -> MonotoneFn:
     return factory(**params)
 
 
-def numeric_inverse(
-    f: MonotoneFn | Callable[[float], float],
-    target: float,
-    tol: float = 1e-10,
-    lo: float | None = None,
-    max_doublings: int = 200,
-    max_iter: int = 500,
-) -> float:
+def numeric_inverse(f: MonotoneFn | Callable[[float], float], target: float, tol: float = 1e-10) -> float:
     """x with |f(x) - target| <= tol, for increasing f, via bisection.
 
     The upper bracket is found by doubling the step from the domain
-    floor.  Raises BracketError when the target cannot be bracketed
-    within ``max_doublings`` or bisection stalls above ``tol``.
+    floor (0 for a plain callable).  Raises BracketError when the target
+    cannot be bracketed within _MAX_DOUBLINGS doublings or bisection
+    stalls above ``tol``.
     """
     if isinstance(f, MonotoneFn):
-        floor = f.domain_floor if lo is None else lo
-        fn = f.value
+        floor, fn = f.domain_floor, f.value
     else:
-        floor = 0.0 if lo is None else lo
-        fn = f
+        floor, fn = 0.0, f
     flo = fn(floor)
     if flo > target:
         raise BracketError(f"target {target!r} lies below f({floor!r}) = {flo!r}")
@@ -215,38 +216,36 @@ def numeric_inverse(
         return floor
     step = 1.0
     hi = floor + step
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         with np.errstate(over="ignore"):
             if fn(hi) >= target:
                 break
         step *= 2.0
         hi = floor + step
     else:
-        raise BracketError(f"could not bracket target {target!r} within {max_doublings} doublings")
-    lo_x = floor
-    for _ in range(max_iter):
-        mid = 0.5 * (lo_x + hi)
+        raise BracketError(f"could not bracket target {target!r} within {_MAX_DOUBLINGS} doublings")
+    lo = floor
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
         val = fn(mid)
         if abs(val - target) <= tol:
             return mid
         if val < target:
-            lo_x = mid
+            lo = mid
         else:
             hi = mid
-        if hi - lo_x <= math.ulp(max(abs(lo_x), abs(hi))):
+        if hi - lo <= math.ulp(max(abs(lo), abs(hi))):
             break
-    if abs(fn(0.5 * (lo_x + hi)) - target) <= tol:
-        return 0.5 * (lo_x + hi)
+    if abs(fn(0.5 * (lo + hi)) - target) <= tol:
+        return 0.5 * (lo + hi)
     raise BracketError(f"bisection stalled above tolerance {tol!r} for target {target!r}")
 
 
-def check_class_tag(
-    fn: MonotoneFn, lo: float, hi: float, samples: int = 100, seed: int = 0
-) -> bool:
+def check_class_tag(fn: MonotoneFn, lo: float, hi: float) -> bool:
     """Spot-check the class tag on random pairs in [lo, hi]."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(lo, hi, samples)
-    b = rng.uniform(lo, hi, samples)
+    rng = np.random.default_rng(_CLASS_TAG_SEED)
+    a = rng.uniform(lo, hi, _CLASS_TAG_SAMPLES)
+    b = rng.uniform(lo, hi, _CLASS_TAG_SAMPLES)
     a, b = np.minimum(a, b), np.maximum(a, b)
     keep = b > a
     a, b = a[keep], b[keep]

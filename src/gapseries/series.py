@@ -28,6 +28,18 @@ TWO_PI = 2.0 * math.pi
 #: further out.
 DEFAULT_GUARD_MARGIN = 5
 
+#: default bound on the certified truncation error of an evaluation,
+#: relative to the maximal term
+REL_TOL = 1e-9
+
+#: shift delta of the tail certificate, which bounds the remainder by the
+#: maximal term at x + delta (see _certified_prefix)
+TAIL_SHIFT = 1.0
+
+#: the golden-section refinement of a modulus extremum stops once its
+#: bracket in y is narrower than this
+PHASE_TOL = 1e-10
+
 _KINDS = ("dirichlet", "gap-power", "general")
 
 
@@ -192,21 +204,32 @@ def log_maximal_term(spec: SeriesSpec, x: float) -> MaximalTerm:
     Returns the log of the maximal term together with the central index,
     the largest index attaining the maximum.
 
-    Raises HorizonExceeded when the spec is a truncation and the argmax
-    lies within DEFAULT_GUARD_MARGIN of the stored horizon: the prefix then
-    cannot certify that the true maximum is among the stored terms.
+    Raises HorizonExceeded when the maximum overflows float64, and when
+    the spec is a truncation and the argmax lies within
+    DEFAULT_GUARD_MARGIN of the stored horizon: the prefix then cannot
+    certify that the true maximum is among the stored terms.
     """
+    with np.errstate(over="ignore"):
+        return _log_terms(spec, x)[1]
+
+
+def _log_terms(spec: SeriesSpec, x: float) -> tuple[np.ndarray, MaximalTerm]:
+    """Every ln|a_n| + x*lambda_n, and the maximal term as log_maximal_term
+    gives it.  Call under np.errstate(over="ignore"): x*lambda_n may
+    overflow to +-inf, and a -inf term is never maximal."""
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     values = spec.log_moduli + x * spec.exponents.values
     idx = _argmax_last(values)
+    if not math.isfinite(values[idx]):
+        raise HorizonExceeded(f"ln mu({x!r}) overflows float64")
     n = len(spec)
     if not spec.complete and n > DEFAULT_GUARD_MARGIN and idx > n - DEFAULT_GUARD_MARGIN:
         raise HorizonExceeded(
             f"maximal term at index {idx} of {n} stored terms is within "
             f"guard margin {DEFAULT_GUARD_MARGIN} of the horizon"
         )
-    return MaximalTerm(float(values[idx]), idx)
+    return values, MaximalTerm(float(values[idx]), idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,16 +313,12 @@ class EvalResult(NamedTuple):
     log_mu: float
 
 
-def _certified_prefix(
-    spec: SeriesSpec,
-    x: float,
-    rel_tol: float,
-    delta: float,
-) -> tuple[np.ndarray, MaximalTerm, int]:
+def _certified_prefix(spec: SeriesSpec, x: float, rel_tol: float) -> tuple[np.ndarray, MaximalTerm, int]:
     """Scaled term magnitudes exp(ln|a_n| + x*lambda_n - ln mu) for a
     prefix whose unsummed remainder is certified below rel_tol.
 
-    The tail beyond index N of the full series is bounded by
+    With delta = TAIL_SHIFT, the tail beyond index N of the full series is
+    bounded by
         mu(x+delta)/mu(x) * exp(-delta*lambda_N) / (1 - exp(-delta*g_min)),
     a geometric envelope using the smallest stored gap g_min.  Summation
     stops at the first N where this bound drops below rel_tol.  Complete
@@ -308,18 +327,18 @@ def _certified_prefix(
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidTolerance(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    top = log_maximal_term(spec, x)
-    lam = spec.exponents.values
-    scaled = spec.log_moduli + x * lam - top.log_value
-    if spec.complete or len(spec) < 2:
-        return np.exp(scaled), top, len(spec) - 1
+    with np.errstate(over="ignore"):
+        values, top = _log_terms(spec, x)
+        # the maximum is finite, so an overflowing term is -inf and scales to 0
+        scaled = values - top.log_value
+        if spec.complete or len(spec) < 2:
+            return np.exp(scaled), top, len(spec) - 1
+        shifted = _log_terms(spec, x + TAIL_SHIFT)[1]
 
-    shifted = log_maximal_term(spec, x + delta)
+    lam = spec.exponents.values
     gmin = spec.exponents.min_gap
-    log_geom = math.log1p(-math.exp(-delta * gmin))
-    log_tail = (shifted.log_value - top.log_value) - delta * lam - log_geom
+    log_geom = math.log1p(-math.exp(-TAIL_SHIFT * gmin))
+    log_tail = (shifted.log_value - top.log_value) - TAIL_SHIFT * lam - log_geom
     certified = log_tail < math.log(rel_tol)
     if not certified.any():
         raise HorizonExceeded(
@@ -331,28 +350,17 @@ def _certified_prefix(
     return np.exp(scaled[: stop + 1]), top, stop
 
 
-def evaluate(
-    spec: SeriesSpec,
-    x: float,
-    y: float,
-    rel_tol: float = 1e-9,
-    delta: float = 1.0,
-) -> EvalResult:
+def evaluate(spec: SeriesSpec, x: float, y: float, rel_tol: float = REL_TOL) -> EvalResult:
     """F(x+iy) / mu(x, F) with certified truncation error below rel_tol."""
-    w, top, stop = _certified_prefix(spec, x, rel_tol, delta)
+    w, top, stop = _certified_prefix(spec, x, rel_tol)
     ang = spec.phases[: stop + 1] + y * spec.exponents.values[: stop + 1]
     s = np.sum(w * np.exp(1j * ang))
     return EvalResult(float(s.real), float(s.imag), top.log_value)
 
 
-def sum_modulus(
-    spec: SeriesSpec,
-    x: float,
-    rel_tol: float = 1e-9,
-    delta: float = 1.0,
-) -> float:
+def sum_modulus(spec: SeriesSpec, x: float, rel_tol: float = REL_TOL) -> float:
     """Upper envelope sum |a_n| e^{x lambda_n} / mu(x, F); always >= 1."""
-    w, _, _ = _certified_prefix(spec, x, rel_tol, delta)
+    w, _, _ = _certified_prefix(spec, x, rel_tol)
     return float(np.sum(w))
 
 
@@ -362,18 +370,14 @@ class PhaseSearchOpts:
 
     For reliable results on integral exponents the grid should have at
     least four points per unit of the top exponent (|F| restricted to the
-    circle is a trigonometric polynomial of that degree).
+    circle is a trigonometric polynomial of that degree).  The refinement
+    stops at PHASE_TOL and the tail certificate shifts by TAIL_SHIFT.
     """
 
     grid_points: int = 4096
-    phase_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    delta: float = 1.0
+    rel_tol: float = REL_TOL
 
     def __post_init__(self):
-        # the golden-section search runs until each bracket is below phase_tol
-        if not 0.0 < self.phase_tol < math.inf:
-            raise InvalidTolerance(f"phase_tol must be finite and positive, got {self.phase_tol}")
         if self.grid_points < 2:
             raise InvalidTolerance(f"grid_points must be at least 2, got {self.grid_points}")
 
@@ -437,13 +441,13 @@ def _grid_extrema(
     return best_j, best
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minimization on every bracket [lo_k, hi_k] at once.
 
     ``f(y, lanes)`` evaluates the objective of each lane in ``lanes`` at the
     matching entry of ``y``.  Every lane takes exactly the steps of a scalar
     golden-section search on its own bracket and stops when its bracket is
-    narrower than ``tol``.  Returns the best abscissa and value per lane.
+    narrower than PHASE_TOL.  Returns the best abscissa and value per lane.
     """
     lo, hi = lo.copy(), hi.copy()
     everyone = np.arange(lo.size)
@@ -452,7 +456,7 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarr
     fc, fd = f(c, everyone), f(d, everyone)
     first = fc <= fd
     best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
-    lanes = everyone[hi - lo > tol]
+    lanes = everyone[hi - lo > PHASE_TOL]
     while lanes.size:
         left = fc[lanes] < fd[lanes]
         shrink_hi, shrink_lo = lanes[left], lanes[~left]
@@ -465,7 +469,7 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarr
         for pts, vals in ((c, fc), (d, fd)):
             won = lanes[vals[lanes] < best_f[lanes]]
             best_x[won], best_f[won] = pts[won], vals[won]
-        lanes = lanes[hi[lanes] - lo[lanes] > tol]
+        lanes = lanes[hi[lanes] - lo[lanes] > PHASE_TOL]
     return best_x, best_f
 
 
@@ -484,7 +488,7 @@ def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want
     live, prefixes, log_mus = [], [], []
     for x in xs:
         try:
-            w, top, stop = _certified_prefix(spec, float(x), opts.rel_tol, opts.delta)
+            w, top, stop = _certified_prefix(spec, float(x), opts.rel_tol)
         except GapSeriesError as exc:
             results.append(exc)
             continue
@@ -525,9 +529,7 @@ def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want
     step = max(1, _BLOCK_ENTRIES // n)
     for k0 in range(0, len(live), step):
         part = slice(k0, k0 + step)
-        y_ref[part], f_ref[part] = _golden_min(
-            lambda y, lanes: objective(y, lanes + k0), lo[part], hi[part], opts.phase_tol
-        )
+        y_ref[part], f_ref[part] = _golden_min(lambda y, lanes: objective(y, lanes + k0), lo[part], hi[part])
 
     for k, slot in enumerate(live):
         if grid_best[k] <= f_ref[k]:

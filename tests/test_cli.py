@@ -1,8 +1,11 @@
 import ast
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import gapseries.cli
 from gapseries import build_damping_gadget, build_witness_series, domination_margin, geometric_exponents, power_exponents, witness_exceptional_set
 from gapseries.cli import _CSV_CHUNK_ROWS, _write_csv, main
-from gapseries.config import load_config, series_from_config
+from gapseries.config import Coeffs, Construct, Criteria, GapPower, Lemma, RunConfig, Series, Sweep, load_config, series_from_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,17 +82,6 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", bad)
         assert run("sweep", cfg, tmp_path / "o.csv") == 1
 
-    @pytest.mark.parametrize("grid_points", [0, 1])
-    def test_phase_grid_below_two_points(self, tmp_path, capsys, grid_points):
-        # one grid point has no step and zero points no grid; both used to escape main()
-        payload = json.loads((CONFIG_DIR / "two_term_gap_power.json").read_text())
-        payload["tolerances"] = {"grid_points": grid_points}
-        out = tmp_path / "o.csv"
-        assert run("gap-power", write_config(tmp_path, "c.json", payload), out) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "grid_points" in err
-        assert not out.exists()
-
 
 class TestSeriesTable:
     GEOMETRIC = {"generator": "geometric", "base": 2.0, "count": 31}
@@ -108,6 +100,40 @@ class TestSeriesTable:
         assert not np.array_equal(series_from_config(series, 4).log_moduli, want)
 
 
+def readme_key_tables():
+    """{heading: keys} for every key table of README: a line such as
+    "`sweep` (required by `sweep`):" or "Top level:", then a table whose
+    first column names one or more keys in backticks."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    tables = {}
+    for i, line in enumerate(lines):
+        heading = re.fullmatch(r"(?:`([\w.]+)`[^|]*|(Top level)):", line)
+        if heading and lines[i + 2].startswith("| key |"):
+            rows = itertools.takewhile(lambda row: row.startswith("|"), lines[i + 4 :])
+            tables[heading[1] or ""] = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    return tables
+
+
+# README's key tables and the config classes they document; a section with
+# its own table is a field of RunConfig, not a row of the top-level table
+README_TABLES = {
+    "series": Series, "series.coeffs": Coeffs, "": RunConfig, "sweep": Sweep,
+    "criteria": Criteria, "construct": Construct, "lemma": Lemma, "gap_power": GapPower,
+}
+
+
+def test_readme_lists_every_table():
+    assert readme_key_tables().keys() == README_TABLES.keys()
+
+
+@pytest.mark.parametrize("heading", README_TABLES)
+def test_readme_key_table_matches_config(heading):
+    want = {f.name for f in dataclasses.fields(README_TABLES[heading])}
+    if heading == "":
+        want -= {where for where in README_TABLES if where}
+    assert readme_key_tables()[heading] == want
+
+
 class TestLemmaConfigErrors:
     @pytest.mark.parametrize(
         "tables, series_count, phrase",
@@ -120,8 +146,7 @@ class TestLemmaConfigErrors:
             ({"lemma": {"n_terms": 0}}, 31, "n_terms"),
             ({"lemma": {"max_index": 1000}}, 31, "max_index"),
             ({"lemma": {"max_index": -1}}, 31, "max_index"),
-            ({"tolerances": {"tail_tol": "tight"}}, 31, "tight"),
-            # the lemma's own tail_tol key is gone: tolerances.tail_tol sets it
+            # no key sets the damping gadgets' tail tolerance
             ({"lemma": {"tail_tol": 1e-8}}, 31, "tail_tol"),
             ({"lemma": {"n_terms": 1, "max_index": 1}}, 2, "three exponents"),
             # 3 q values on a 1000 x 999 grid: exits before a gadget is built
@@ -222,15 +247,11 @@ class TestEveryConfigErrorExits1:
             (GAP, ("series", "log_moduli", 0), "x", "series.log_moduli"),
             (CRIT, ("series", "count"), INF, "series.count"),
             (SWEEP, ("seed",), -1, "seed"),
-            # exited 0 with InvalidTolerance rows, or with no flagged point at all
-            (SWEEP, ("tolerances", "rel_tol"), 0, "tolerances.rel_tol"),
-            (SWEEP, ("tolerances", "rel_tol"), 2, "tolerances.rel_tol"),
+            # exited 0 with no flagged point at all
             (SWEEP, ("beta",), NAN, "beta"),
-            (SWEEP, ("tolerances", "quad_tol"), NAN, "tolerances.quad_tol"),
             (CRIT, ("output",), 5, "output"),
-            # hung in the golden-section search
-            (GAP, ("tolerances", "phase_tol"), 0, "tolerances.phase_tol"),
-            (GAP, ("tolerances", "phase_tol"), -1, "tolerances.phase_tol"),
+            # the tolerances are constants: the table is an unknown key
+            (GAP, ("tolerances",), {"grid_points": 1}, "tolerances"),
             # a truthy string made a truncated series complete, or drew phases
             (GAP, ("series", "complete"), "false", "series.complete"),
             (GAP, ("series", "complete"), 1, "series.complete"),
@@ -250,12 +271,11 @@ class TestEveryConfigErrorExits1:
             (SWEEP, ("series", "coeffs", "mode"), "wild", "series.coeffs.mode"),
             (CRIT, ("series", "coeffs"), {"mode": "flat", "g": {"name": "cubic"}}, "series.coeffs.g"),
             # size caps: each exits at load, before anything is allocated
-            (SWEEP, ("tolerances", "grid_points"), 10**9, "tolerances.grid_points"),
             (SWEEP, ("sweep", "x_max"), 1e12, "sweep.step"),
             (GAP, ("gap_power", "r_points"), 10**9, "gap_power.r_points"),
             (CRIT, ("series", "count"), 10**9, "series.count"),
-            (SWEEP, ("sweep", "x_max"), 20_000.0, "tolerances.grid_points"),
-            (GAP, ("gap_power", "r_points"), 5_000, "tolerances.grid_points"),
+            (SWEEP, ("sweep", "x_max"), 20_000.0, "sweep.step"),
+            (GAP, ("gap_power", "r_points"), 5_000, "gap_power.r_points"),
         ],
     )
     def test_one_line_and_no_output(self, tmp_path, name, path, value, key):
@@ -289,6 +309,46 @@ def test_huge_power_density_falls_back_without_warning(tmp_path, name):
         warnings.simplefilter("error")
         code, err, written = run_edit(tmp_path, name, ("h", "exponent"), 1e9)
     assert code == 0 and err == "" and written
+
+
+class TestOverflowingMaximalTerm:
+    """Where ln mu overflows float64 a row reads HorizonExceeded, and no
+    RuntimeWarning reaches stderr; it used to read log_mu inf, nan envelopes
+    and an empty error, like a certified row."""
+
+    def test_explicit_complete_series(self, tmp_path):
+        payload = {
+            "series": {"generator": "explicit", "exponents": [0, 1, 1000], "log_moduli": [0, -1, -3], "complete": True},
+            "sweep": {"x_min": 1e306, "x_max": 1.2e306, "step": 1e305},
+        }
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run("sweep", write_config(tmp_path, "c.json", payload), tmp_path / "o.csv")
+        assert code == 0 and err.getvalue() == ""
+        header, rows, _ = read_rows(tmp_path / "o.csv")
+        assert len(rows) == 3
+        assert all(r[header.index("error")] == "HorizonExceeded" and r[header.index("flag")] == "0" for r in rows)
+
+    @pytest.mark.parametrize("x_min", [1e300, -1e300])
+    def test_curated_sweep_far_out(self, tmp_path, x_min):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, _ = run_edit(tmp_path, SWEEP, ("sweep",), {"x_min": x_min, "x_max": x_min + 2e299, "step": 1e299})
+        assert code == 0 and err == ""
+        header, rows, _ = read_rows(tmp_path / "out" / "o.csv")
+        assert len(rows) == 3
+        cfg = load_config(CONFIG_DIR / SWEEP)
+        for row in rows:
+            cell = dict(zip(header, row))
+            if x_min > 0:
+                assert cell["error"] == "HorizonExceeded"
+            else:
+                # the term of exponent 0 is maximal and every other term vanishes
+                assert float(cell["log_mu"]) == series_from_config(cfg.series, cfg.seed).log_moduli[0]
+                assert [cell[k] for k in ("nu", "M_scaled", "m_scaled", "sum_scaled", "flag", "error")] == [
+                    "0", "1", "1", "1", "0", ""
+                ]
 
 
 class TestExitCodes:

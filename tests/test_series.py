@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from gapseries import (
     sum_modulus,
     term_value,
 )
+from gapseries.series import PHASE_TOL
 from conftest import brute_force_max, random_spec, random_entire_spec
 
 TWO_PI = 2 * math.pi
@@ -111,6 +113,19 @@ class TestLogMaximalTerm:
     def test_nonfinite_x_rejected(self):
         with pytest.raises(ValueError):
             log_maximal_term(single_term(), math.inf)
+
+    def test_overflowing_maximum_raises_without_warning(self):
+        # x * 1000 overflows float64: the maximum was inf and every envelope nan
+        spec = SeriesSpec(ExponentSequence([0.0, 1.0, 1000.0]), np.array([0.0, -1.0, -3.0]), complete=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HorizonExceeded):
+                log_maximal_term(spec, 1e306)
+            with pytest.raises(HorizonExceeded):
+                sum_modulus(spec, 1e306)
+            # far left the overflowing terms are -inf and scale to zero
+            assert log_maximal_term(spec, -1e306) == (0.0, 0)
+            assert sum_modulus(spec, -1e306) == 1.0
 
 
 class TestCentralIndexTable:
@@ -276,13 +291,9 @@ class TestModuli:
         res = max_modulus(spec, 0.5, PhaseSearchOpts(grid_points=1024))
         assert res.window_approximate
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"phase_tol": 0.0}, {"phase_tol": -1.0}, {"phase_tol": math.nan}, {"phase_tol": math.inf},
-         {"grid_points": 1}, {"grid_points": 0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"grid_points": 1}, {"grid_points": 0}])
     def test_search_options_out_of_range_raise(self, kwargs):
-        # phase_tol <= 0 used to make the golden-section loop run forever
+        # the phase search needs a grid step ys[1] - ys[0]
         with pytest.raises(InvalidTolerance):
             PhaseSearchOpts(**kwargs)
 
@@ -438,11 +449,11 @@ class TestEnvelopeKernel:
                 ys = res.y_at + np.linspace(-step / 8, step / 8, 33)
                 best = ys[np.argmax(sign * modulus(ys))]
                 ref = _zoomed_argmax(lambda y: sign * modulus(y), best - step / 256, best + step / 256)
-                # phase_tol away from the extremum, |F| is off by at most half its
-                # curvature (<= sum w lam^2) times phase_tol^2 at a maximum; a
+                # PHASE_TOL away from the extremum, |F| is off by at most half its
+                # curvature (<= sum w lam^2) times PHASE_TOL^2 at a maximum; a
                 # minimum may sit at a zero of F, where only the Lipschitz
                 # bound sum w lam holds
-                tol = KERNEL_OPTS.phase_tol
+                tol = PHASE_TOL
                 off = 0.5 * np.sum(w * lam**2) * tol**2 if sign > 0 else np.sum(w * lam) * tol
                 # res.value is |F| evaluated in float64 at some y of the search
                 # window, so |y| <= span.  The phase ph_k + y*lam_k rounds twice
