@@ -28,7 +28,7 @@ from .errors import (
     TailNotCertified,
 )
 from .measure import IntervalSet, MonotoneFn, density_measure, h_measure, h_log_measure, log_measure
-from .series import REL_TOL, SeriesSpec, log_maximal_term, max_modulus, min_modulus, sum_modulus
+from .series import REL_TOL, SeriesSpec, max_modulus, min_modulus
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -164,28 +164,24 @@ def _envelope_rows(spec: SeriesSpec, cfg: RunConfig, args: list[float], xs: list
 
     Row k is evaluated at x = xs[k] and starts with args[k]: x itself, or
     the radius r with x = ln r.  Every abscissa shares one batched
-    max_modulus and one batched min_modulus call.
+    max_modulus and one batched min_modulus call; log_mu, nu and sum_scaled
+    come from the max_modulus result.
     """
     maxima = max_modulus(spec, xs)
     minima = min_modulus(spec, xs)
     rows = []
     flagged = []
-    for arg, x, mx, mn in zip(args, xs, maxima, minima):
-        try:
-            top = log_maximal_term(spec, x)
-            for res in (mx, mn):
-                if isinstance(res, GapSeriesError):
-                    raise res
-            total = sum_modulus(spec, x)
-        except GapSeriesError as exc:
-            rows.append([arg, math.nan, -1, math.nan, math.nan, math.nan, math.nan, math.nan, 0, type(exc).__name__])
+    for arg, mx, mn in zip(args, maxima, minima):
+        failed = next((res for res in (mx, mn) if isinstance(res, GapSeriesError)), None)
+        if failed is not None:
+            rows.append([arg, math.nan, -1, math.nan, math.nan, math.nan, math.nan, math.nan, 0, type(failed).__name__])
             flagged.append((False, arg))
             continue
         ratio_mu = mx.value - 1.0
         # a minimum below the evaluation's own error bar is numerically zero
         ratio_m = math.inf if mn.value <= REL_TOL else mx.value / mn.value - 1.0
         flag = ratio_mu > cfg.beta or ratio_m > cfg.beta
-        rows.append([arg, top.log_value, top.index, mx.value, mn.value, total, ratio_mu, ratio_m, int(flag), ""])
+        rows.append([arg, mx.log_mu, mx.nu, mx.value, mn.value, mx.sum_scaled, ratio_mu, ratio_m, int(flag), ""])
         flagged.append((flag, arg))
     return rows, flagged
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .measure import MonotoneFn
-from .series import SeriesSpec, ExponentSequence, log_maximal_term, max_modulus, sum_modulus
+from .series import SeriesSpec, ExponentSequence, log_maximal_term, max_modulus
 
 #: dyadic block increments must shrink below this ratio to call convergence
 CONVERGING_BLOCK_RATIO = 0.9
@@ -303,8 +303,7 @@ def estimate_lower_order(spec: SeriesSpec, r_grid) -> LowerOrderEstimate:
         m = max_modulus(spec, x)
         log_m_lower = m.log_mu + math.log(m.value) if m.value > 0 else -math.inf
         low[i] = loglog_over_logr(log_m_lower, r)
-        s = sum_modulus(spec, x)
-        up[i] = loglog_over_logr(m.log_mu + math.log(s), r)
+        up[i] = loglog_over_logr(m.log_mu + math.log(m.sum_scaled), r)
     tail_start = r_grid.size // 2
     lower = float(np.min(low[tail_start:]))
     upper = float(np.min(up[tail_start:]))

@@ -36,8 +36,8 @@ REL_TOL = 1e-9
 #: maximal term at x + delta (see _certified_prefix)
 TAIL_SHIFT = 1.0
 
-#: the golden-section refinement of a modulus extremum stops once its
-#: bracket in y is narrower than this
+#: the zoom scans that refine a modulus extremum stop once their step in y
+#: is below this
 PHASE_TOL = 1e-10
 
 _KINDS = ("dirichlet", "gap-power", "general")
@@ -370,8 +370,9 @@ class PhaseSearchOpts:
 
     For reliable results on integral exponents the grid should have at
     least four points per unit of the top exponent (|F| restricted to the
-    circle is a trigonometric polynomial of that degree).  The refinement
-    stops at PHASE_TOL and the tail certificate shifts by TAIL_SHIFT.
+    circle is a trigonometric polynomial of that degree).  Zoom scans
+    refine the grid extremum from plus or minus one grid step until their
+    step is below PHASE_TOL; the tail certificate shifts by TAIL_SHIFT.
     """
 
     grid_points: int = 4096
@@ -391,6 +392,9 @@ class ModulusResult:
     (both up to the truncation tolerance of the underlying evaluation).
     ``window_approximate`` is set when non-integral exponents forced the
     search onto a finite y-window instead of one exact period.
+    ``log_mu``, ``nu`` and ``sum_scaled`` come from the certified prefix the
+    search summed: they equal log_maximal_term(spec, x) and
+    sum_modulus(spec, x, rel_tol) at the search's rel_tol.
     """
 
     value: float
@@ -398,16 +402,20 @@ class ModulusResult:
     direction: str
     window_approximate: bool
     log_mu: float
+    nu: int
+    sum_scaled: float
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: complex entries per block of the phase basis, of the phase profile and of
-#: the refinement lanes: the kernel's working memory stays bounded whatever
-#: the prefix length, grid size or number of abscissas.  On the sweep
-#: benchmark, blocks of 2^12 to 2^14 entries run equally fast, and the larger
-#: ones raised the process's peak RSS by about 1.4 MB.
+#: complex entries per block of the phase basis, of the phase profile, of the
+#: rotated refinement weights and of each zoom scan's basis: the kernel's
+#: working memory stays bounded whatever the prefix length, grid size or number
+#: of abscissas.  On the sweep benchmark, blocks of 2^12 to 2^14 entries run
+#: equally fast, and the larger ones raised the process's peak RSS by about 1.4 MB.
 _BLOCK_ENTRIES = 1 << 12
+
+#: points per zoom scan: odd, so one sits on the scan's centre; each scan
+#: shrinks the half-width to the previous scan's step, 16 times smaller
+_SCAN_POINTS = 33
 
 
 def _grid_extrema(
@@ -441,36 +449,40 @@ def _grid_extrema(
     return best_j, best
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minimization on every bracket [lo_k, hi_k] at once.
+def _zoom(
+    weights: np.ndarray, lam: np.ndarray, ph: np.ndarray, y: np.ndarray, width: float, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine each row's minimum of sign * |sum_n w_n e^{i(ph_n + y*lam_n)}|
+    from its entry of ``y`` by zoom scans.
 
-    ``f(y, lanes)`` evaluates the objective of each lane in ``lanes`` at the
-    matching entry of ``y``.  Every lane takes exactly the steps of a scalar
-    golden-section search on its own bracket and stops when its bracket is
-    narrower than PHASE_TOL.  Returns the best abscissa and value per lane.
+    A scan samples _SCAN_POINTS points across y +- width and recentres on the
+    best (the first on ties); width shrinks to the scan's step until that step
+    is below PHASE_TOL.  Weights rotated to their row's centre,
+    w e^{i(ph + y*lam)}, let one basis e^{i*t*lam} serve every row; its rows
+    are powers of e^{i*step*lam}, since the basis only picks the next centre.
+    Each row is scanned by its own product with the basis: a product across
+    rows rounds differently with the number of rows, and near the extremum
+    that rounding picks the centre.  Returns the final centres and sign * |F|
+    there, summed as evaluate sums it.
     """
-    lo, hi = lo.copy(), hi.copy()
-    everyone = np.arange(lo.size)
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c, everyone), f(d, everyone)
-    first = fc <= fd
-    best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
-    lanes = everyone[hi - lo > PHASE_TOL]
-    while lanes.size:
-        left = fc[lanes] < fd[lanes]
-        shrink_hi, shrink_lo = lanes[left], lanes[~left]
-        hi[shrink_hi], d[shrink_hi], fd[shrink_hi] = d[shrink_hi], c[shrink_hi], fc[shrink_hi]
-        c[shrink_hi] = hi[shrink_hi] - _INVPHI * (hi[shrink_hi] - lo[shrink_hi])
-        lo[shrink_lo], c[shrink_lo], fc[shrink_lo] = c[shrink_lo], d[shrink_lo], fd[shrink_lo]
-        d[shrink_lo] = lo[shrink_lo] + _INVPHI * (hi[shrink_lo] - lo[shrink_lo])
-        fy = f(np.where(left, c[lanes], d[lanes]), lanes)
-        fc[shrink_hi], fd[shrink_lo] = fy[left], fy[~left]
-        for pts, vals in ((c, fc), (d, fd)):
-            won = lanes[vals[lanes] < best_f[lanes]]
-            best_x[won], best_f[won] = pts[won], vals[won]
-        lanes = lanes[hi[lanes] - lo[lanes] > PHASE_TOL]
-    return best_x, best_f
+    offsets = np.linspace(-1.0, 1.0, _SCAN_POINTS)
+    points = max(1, _BLOCK_ENTRIES // lam.size)
+    while True:
+        rotated = weights * np.exp(1j * (ph[None, :] + y[:, None] * lam[None, :]))
+        if width < PHASE_TOL:
+            return y, sign * np.abs(rotated.sum(axis=1))
+        ts = width * offsets
+        unit = np.exp(1j * (ts[1] - ts[0]) * lam)
+        row = np.exp(1j * ts[0] * lam)
+        vals = np.empty((y.size, ts.size))
+        for p0 in range(0, ts.size, points):
+            basis = np.empty((min(points, ts.size - p0), lam.size), dtype=complex)
+            for p in range(len(basis)):
+                basis[p], row = row, row * unit
+            for k, r in enumerate(rotated):
+                vals[k, p0 : p0 + len(basis)] = np.abs(basis @ r)
+        y = y + ts[np.argmin(sign * vals, axis=1)]
+        width /= (_SCAN_POINTS - 1) // 2
 
 
 def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want_max: bool) -> list:
@@ -479,26 +491,28 @@ def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want
     Each x gets one certified prefix; a GapSeriesError raised there takes
     the x's slot in the returned list and leaves its neighbours intact.
     All other abscissas share one phase basis up to the longest prefix:
-    one matrix product per block gives every profile, then every bracketed
-    grid extremum is refined by golden-section steps at once.
+    one matrix product per block gives every profile, then zoom scans
+    (_zoom) refine every grid extremum, one row at a time.  Each result keeps
+    the better of its grid value and its refined value.
     """
     direction = "lower" if want_max else "upper"
     sign = -1.0 if want_max else 1.0
     results: list = []
-    live, prefixes, log_mus = [], [], []
+    live, prefixes, tops = [], [], []
     for x in xs:
         try:
             w, top, stop = _certified_prefix(spec, float(x), opts.rel_tol)
         except GapSeriesError as exc:
             results.append(exc)
             continue
+        total = float(np.sum(w))
         if stop == 0:
-            results.append(ModulusResult(float(w[0]), 0.0, direction, False, top.log_value))
+            results.append(ModulusResult(float(w[0]), 0.0, direction, False, top.log_value, top.index, total))
         else:
             results.append(None)
             live.append(len(results) - 1)
             prefixes.append(w)
-            log_mus.append(top.log_value)
+            tops.append((top, total))
     if not live:
         return results
 
@@ -508,36 +522,23 @@ def _phase_extrema(spec: SeriesSpec, xs: np.ndarray, opts: PhaseSearchOpts, want
         weights[k, : w.size] = w
     lam, ph = spec.exponents.values[:n], spec.phases[:n]
     periodic = spec.exponents.is_integral()
-    if periodic:
-        span = TWO_PI
-        ys = np.linspace(0.0, span, opts.grid_points, endpoint=False)
-    else:
-        span = 10.0 * TWO_PI / spec.exponents.min_gap
-        ys = np.linspace(0.0, span, opts.grid_points)
+    span = TWO_PI if periodic else 10.0 * TWO_PI / spec.exponents.min_gap
+    ys = np.linspace(0.0, span, opts.grid_points, endpoint=not periodic)
     j, grid_best = _grid_extrema(weights, lam, ph, ys, sign)
 
-    dy = ys[1] - ys[0]
-    lo, hi = ys[j] - dy, ys[j] + dy
-    if not periodic:
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, span)
-
-    def objective(y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        ang = ph[None, :] + y[:, None] * lam[None, :]
-        return sign * np.abs((weights[lanes] * np.exp(1j * ang)).sum(axis=1))
-
     y_ref, f_ref = np.empty(len(live)), np.empty(len(live))
-    step = max(1, _BLOCK_ENTRIES // n)
-    for k0 in range(0, len(live), step):
-        part = slice(k0, k0 + step)
-        y_ref[part], f_ref[part] = _golden_min(lambda y, lanes: objective(y, lanes + k0), lo[part], hi[part])
+    lanes = max(1, _BLOCK_ENTRIES // n)
+    for k0 in range(0, len(live), lanes):
+        part = slice(k0, k0 + lanes)
+        y_ref[part], f_ref[part] = _zoom(weights[part], lam, ph, ys[j[part]], ys[1] - ys[0], sign)
 
+    refined = f_ref < grid_best
+    y_best = np.where(refined, y_ref % span if periodic else y_ref, ys[j])
+    v_best = sign * np.where(refined, f_ref, grid_best)
     for k, slot in enumerate(live):
-        if grid_best[k] <= f_ref[k]:
-            y_best, v_best = float(ys[j[k]]), float(sign * grid_best[k])
-        else:
-            y = float(y_ref[k])
-            y_best, v_best = (y % span if periodic else y), float(sign * f_ref[k])
-        results[slot] = ModulusResult(v_best, y_best, direction, not periodic, log_mus[k])
+        top, total = tops[k]
+        results[slot] = ModulusResult(
+            float(v_best[k]), float(y_best[k]), direction, not periodic, top.log_value, top.index, total)
     return results
 
 
@@ -559,7 +560,9 @@ def max_modulus(
     For integral exponents the search covers one exact period [0, 2*pi);
     otherwise the window [0, 20*pi / min_gap] is scanned and the result is
     flagged window-approximate (the true supremum over all of R is not finitely
-    computable for incommensurable exponents).
+    computable for incommensurable exponents).  The refinement may move
+    ``y_at`` up to 16/15 of a grid step outside the window; the value is
+    |F| there, so it still bounds the supremum over all of R from below.
 
     ``x`` may also be a 1-d array of abscissas.  The result is then a list
     holding, per abscissa, its ModulusResult or the GapSeriesError raised

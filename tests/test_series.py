@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gapseries import (
     ExponentSequence,
@@ -338,6 +339,13 @@ def truncated_geometric(draw):
 kernel_cases = st.one_of(gap_polynomials(), truncated_geometric())
 
 
+def _complete_gap(lam, log_moduli, phases, x):
+    """A gap_polynomials case: the complete polynomial and one abscissa."""
+    spec = SeriesSpec(ExponentSequence(np.array(lam, dtype=float), "gap-power"),
+                      np.array(log_moduli, dtype=float), np.array(phases, dtype=float), complete=True)
+    return spec, np.array([x])
+
+
 def _zoomed_argmax(f, lo, hi, xatol=1e-14):
     """argmax of a vectorised f on [lo, hi]: 33-point scans, each over the
     two sample steps around the previous best, until a step is below xatol."""
@@ -367,6 +375,9 @@ class TestEnvelopeKernel:
 
     @KERNEL_SETTINGS
     @given(kernel_cases)
+    # a zoom scan summed across rows rounds differently for two rows than for
+    # one, and that rounding moves this minimum's refined abscissa by 9e-11
+    @example((_complete_gap([0, 1, 95, 136], [-2, -1, -1, -1], [0] * 4, 0.0)[0], np.zeros(2)))
     def test_grid_call_matches_point_calls(self, case):
         spec, xs = case
         for fn in (max_modulus, min_modulus):
@@ -379,6 +390,8 @@ class TestEnvelopeKernel:
                     assert type(got) is type(exc)
                     continue
                 total = sum_modulus(spec, float(x), KERNEL_OPTS.rel_tol)
+                # the row fields come from the certified prefix, bit for bit
+                assert (got.log_mu, got.nu, got.sum_scaled) == (*log_maximal_term(spec, float(x)), total)
                 # the grid profile comes from a matrix product whose summation
                 # order depends on the number of abscissas
                 assert abs(got.value - want.value) <= (len(spec) + 4) * EPS * total
@@ -394,9 +407,10 @@ class TestEnvelopeKernel:
                 if isinstance(res, GapSeriesError):
                     continue
                 ulp = math.ulp(sum_modulus(spec, float(x), KERNEL_OPTS.rel_tol))
-                # a refined abscissa below 0 is reported modulo the period;
-                # evaluating at the wrapped value rounds the phases differently
-                shifts = (0.0, TWO_PI) if spec.exponents.is_integral() else (0.0,)
+                # a refined abscissa outside [0, 2*pi) is reported modulo the
+                # period; evaluating at the wrapped value rounds the phases
+                # differently, so the unwrapped abscissa is tried as well
+                shifts = (0.0, TWO_PI, -TWO_PI) if spec.exponents.is_integral() else (0.0,)
                 misses = []
                 for shift in shifts:
                     e = evaluate(spec, float(x), res.y_at - shift, KERNEL_OPTS.rel_tol)
@@ -422,6 +436,10 @@ class TestEnvelopeKernel:
 
     @KERNEL_SETTINGS
     @given(kernel_cases)
+    # two extrema within one grid step of the grid extremum: a search that
+    # assumes one extremum per bracket keeps 0.043544 and 0.160781 here
+    @example(_complete_gap([0, 1, 3, 116, 183], [-1, -1, -1, -1, -2], [0, 0, 0, 1, 1], 0.009765625))
+    @example(_complete_gap([0, 1, 2, 152, 199], [-1] * 5, [0] * 5, 0.0))
     def test_refinement_matches_an_independent_search(self, case):
         spec, xs = case
         lam = spec.exponents.values
@@ -455,14 +473,16 @@ class TestEnvelopeKernel:
                 # bound sum w lam holds
                 tol = PHASE_TOL
                 off = 0.5 * np.sum(w * lam**2) * tol**2 if sign > 0 else np.sum(w * lam) * tol
-                # res.value is |F| evaluated in float64 at some y of the search
-                # window, so |y| <= span.  The phase ph_k + y*lam_k rounds twice
-                # (product and sum, half an ulp each), which moves it by at most
-                # eps * (|ph_k| + |y| lam_k) and term k by w_k times that.  The
-                # complex exponential, the product with w_k, the n - 1 additions
-                # (a matrix product on the grid path) and the final modulus add
-                # at most (n + 4) eps sum(w).
-                phase = EPS * np.sum(w * (np.abs(spec.phases) + span * lam))
+                # res.value is |F| evaluated in float64 at some y that the zoom
+                # scans reach from the search window: they move at most 16/15 of
+                # a grid step past it, so |y| <= span + 16/15 step.  The phase
+                # ph_k + y*lam_k rounds twice (product and sum, half an ulp
+                # each), which moves it by at most eps * (|ph_k| + |y| lam_k)
+                # and term k by w_k times that.  The complex exponential, the
+                # product with w_k, the n - 1 additions (a matrix product on the
+                # grid path) and the final modulus add at most (n + 4) eps sum(w).
+                reach = span + 16 / 15 * step
+                phase = EPS * np.sum(w * (np.abs(spec.phases) + reach * lam))
                 summation = (lam.size + 4) * EPS * np.sum(w)
                 found = max(sign * exact_modulus(ref), sign * exact_modulus(best))
                 assert found - sign * res.value <= off + phase + summation
@@ -482,6 +502,29 @@ class TestEnvelopeKernel:
             # exceptions compare by identity: compare their types
             assert [r if isinstance(r, ModulusResult) else type(r) for r in with_bad] == [
                 r if isinstance(r, ModulusResult) else type(r) for r in plain]
+
+    @pytest.mark.parametrize("n, abscissas, bound", [
+        # one unblocked 33-point scan basis of 200,000 terms alone takes 106 MB
+        (200_000, 1, 48e6),
+        # 500 abscissas on 1,000 terms: the prefixes and the weight matrix
+        # take 8 MB, and zooming every lane at once would add 24 MB
+        (1_000, 500, 16e6),
+    ])
+    def test_long_prefix_memory_stays_bounded(self, n, abscissas, bound):
+        rng = np.random.default_rng(0)
+        spec = SeriesSpec(
+            ExponentSequence(np.arange(n, dtype=float), "gap-power"),
+            -rng.uniform(0.0, 1.0, n),
+            rng.uniform(0.0, TWO_PI, n),
+            complete=True,
+        )
+        tracemalloc.start()
+        try:
+            max_modulus(spec, -np.linspace(0.0, 1e-3, abscissas), PhaseSearchOpts(grid_points=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_scalar_call_returns_one_result(self):
         spec = SeriesSpec(ExponentSequence([0, 1], "gap-power"), np.zeros(2), complete=True)
